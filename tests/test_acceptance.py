@@ -12,6 +12,7 @@ terms as independent under-predicts the spread on the critical-point ground
 state by about 1.3x, outside the 25% band.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -301,29 +302,31 @@ def test_09_ratio_shot_cost_growth(criterion_report):
     assert ok
 
 
+RERUN_EXPERIMENTS = [
+    ("fig2", fig2_experiment,
+     {"L": 4, "depths": [1, 2], "shots": [50, 100], "repetitions": 3,
+      "optimizer.restarts": 1, "optimizer.max_iter": 8,
+      "lam1_grid": [0.220, -0.15], "jastrow_tail": [0.05]}),
+    ("gap-sweep", gap_sweep,
+     {"L_list": [4], "beta_list": [1.5], "instances": 2, "K": 8,
+      "steps": 400}),
+    ("vqe-run", vqe_run,
+     {"model.L": 4, "depth": 2, "shots_per_group": 100,
+      "repetitions": 4, "optimizer.restarts": 1,
+      "optimizer.max_iter": 8}),
+    ("vmc-run", vmc_run,
+     {"L": 6, "mode": "sweep", "samples": [400],
+      "lam1_grid": [0.220, -0.15], "jastrow_tail": [0.05, 0.02]}),
+    ("qemcmc-run", qemcmc_run,
+     {"L": 4, "ensemble": "ferromagnet", "beta": 1.0, "steps": 400,
+      "chains": 2}),
+]
+
+
 def test_10_rerun_determinism(criterion_report, tmp_path):
     t0 = time.time()
-    runs = [
-        ("fig2", fig2_experiment,
-         {"L": 4, "depths": [1, 2], "shots": [50, 100], "repetitions": 3,
-          "optimizer.restarts": 1, "optimizer.max_iter": 8,
-          "lam1_grid": [0.220, -0.15], "jastrow_tail": [0.05]}),
-        ("gap-sweep", gap_sweep,
-         {"L_list": [4], "beta_list": [1.5], "instances": 2, "K": 8,
-          "steps": 400}),
-        ("vqe-run", vqe_run,
-         {"model.L": 4, "depth": 2, "shots_per_group": 100,
-          "repetitions": 4, "optimizer.restarts": 1,
-          "optimizer.max_iter": 8}),
-        ("vmc-run", vmc_run,
-         {"L": 6, "mode": "sweep", "samples": [400],
-          "lam1_grid": [0.220, -0.15], "jastrow_tail": [0.05, 0.02]}),
-        ("qemcmc-run", qemcmc_run,
-         {"L": 4, "ensemble": "ferromagnet", "beta": 1.0, "steps": 400,
-          "chains": 2}),
-    ]
     stable = []
-    for name, fn, cfg in runs:
+    for name, fn, cfg in RERUN_EXPERIMENTS:
         man_a = fn(dict(cfg), tmp_path / name / "a", master_seed=11)
         man_b = fn(dict(cfg), tmp_path / name / "b", master_seed=11)
         csv_a = (tmp_path / name / "a" / man_a.outputs["csv"]).read_bytes()
@@ -335,3 +338,28 @@ def test_10_rerun_determinism(criterion_report, tmp_path):
                      f"{sum(stable)}/5 experiments byte-identical on re-run, "
                      f"{elapsed:.0f}s")
     assert ok
+
+
+# sha256 of each RERUN_EXPERIMENTS CSV at master seed 11.  A refactor that
+# claims to keep results the same must keep these bytes; a deliberate change
+# of output re-records them and says why.
+RERUN_CSV_SHA256 = {
+    "fig2": "0e1bc957dd06235916a4684ac6c1038d43019de380a73e4ea21110fdee9a059c",
+    "gap-sweep":
+        "a1223ec408b1ff1403362385670f29c72f2ab04461d82165e22791ad05e6e7ce",
+    "vqe-run":
+        "0a91eb1d6f45d26c592d2ebf92a897c1242eb97e8c0fe7525a71f6e825876947",
+    "vmc-run":
+        "5916131ebece9f23225062d50e3084b25168dd4a7ec3e85ecf610208a6612075",
+    "qemcmc-run":
+        "c360a629573335800c465af50185e0ee0e4e46f163264dd3cea7f9c91a8a72a7",
+}
+
+
+@pytest.mark.parametrize("name,fn,cfg", RERUN_EXPERIMENTS,
+                         ids=[r[0] for r in RERUN_EXPERIMENTS])
+def test_rerun_csv_matches_golden_hash(name, fn, cfg, tmp_path):
+    man = fn(dict(cfg), tmp_path, master_seed=11)
+    digest = hashlib.sha256(
+        (tmp_path / man.outputs["csv"]).read_bytes()).hexdigest()
+    assert digest == RERUN_CSV_SHA256[name]
