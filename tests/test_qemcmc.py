@@ -6,15 +6,22 @@ Exact-kernel quantities (gaps, stationarity, detailed balance) are matrix
 identities and get tight thresholds.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from spinlab.qemcmc import (
+    CHEBYSHEV_MIN_QUBITS,
     ChainDiagnostics,
     ClassicalSpinModel,
     QuantumProposalConfig,
     TransitionMatrix,
+    _chebyshev_columns,
+    _evolved_columns,
     accept,
     assemble_kernel,
     autocorrelation_time,
@@ -108,6 +115,23 @@ class TestClassicalSpinModel:
         assert back.topology == "fully-connected"
         assert np.array_equal(back.couplings, m.couplings)
         assert np.array_equal(back.fields, m.fields)
+
+    @pytest.mark.parametrize("field", ["L", "couplings", "fields"])
+    def test_load_instance_names_missing_field(self, tmp_path, field):
+        m = spin_glass_instance(4, np.random.default_rng(3))
+        path = tmp_path / "inst.json"
+        save_instance(m, path)
+        payload = json.loads(path.read_text())
+        del payload[field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"lacks field\(s\) {field}$"):
+            load_instance(path)
+
+    def test_load_instance_rejects_non_object(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_instance(path)
 
     def test_mean_abs_coupling_ferromagnet(self):
         m = ferromagnetic_chain(6, J=0.5)
@@ -234,6 +258,74 @@ class TestProposeQuantum:
         m = ferromagnetic_chain(6, J=2.0)
         cfg = QuantumProposalConfig.for_model(m)
         assert cfg.gamma_range == pytest.approx((0.2, 1.2))
+
+
+class TestChebyshevPropagator:
+    """The series path that the exact proposal takes from L = 9 up."""
+
+    @pytest.mark.parametrize("L", [9, 10])
+    @pytest.mark.parametrize("t", [2.0, 20.0])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_matches_dense_eigh(self, L, t, end):
+        m = spin_glass_instance(L, np.random.default_rng(40 + L))
+        g = QuantumProposalConfig.for_model(m).gamma_range[end]
+        v = energy_table(m)
+        start = np.array([0, 5, 2 ** L - 1, 2 ** (L - 1) + 3])
+        cheb = _chebyshev_columns(v, g, t, start)
+        dense = _evolved_columns(v, g, t, start)
+        assert np.max(np.abs(cheb - dense)) <= 1e-12
+
+    def test_column_matches_expm_multiply(self):
+        m = spin_glass_instance(10, np.random.default_rng(43))
+        t, g = 13.3, 0.41
+        h = csr_matrix(dense_proposal_hamiltonian(m, g))
+        e = np.zeros(2 ** 10)
+        e[77] = 1.0
+        ref = expm_multiply(-1j * t * h, e.astype(complex))
+        col = _chebyshev_columns(energy_table(m), g, t, np.array([77]))
+        assert np.max(np.abs(col[:, 0] - ref)) <= 1e-12
+
+    def test_short_time_limit_stays_put(self):
+        m = spin_glass_instance(10, np.random.default_rng(6))
+        cfg = QuantumProposalConfig(gamma_range=(0.2, 0.4),
+                                    time_range=(1e-9, 2e-9))
+        rng = np.random.default_rng(7)
+        x = SpinConfiguration.from_index(601, 10)
+        for _ in range(20):
+            assert propose_quantum(m, x, cfg, rng).to_index() == 601
+
+    def test_vanishing_field_stays_put(self):
+        m = spin_glass_instance(10, np.random.default_rng(8))
+        cfg = QuantumProposalConfig(gamma_range=(1e-12, 2e-12))
+        rng = np.random.default_rng(9)
+        x = SpinConfiguration.from_index(333, 10)
+        for _ in range(20):
+            assert propose_quantum(m, x, cfg, rng).to_index() == 333
+
+    def test_constant_hamiltonian_only_adds_a_phase(self):
+        # zero field on a constant V: the spectral half-width is exactly 0
+        v = np.full(2 ** 9, 1.5)
+        col = _chebyshev_columns(v, 0.0, 4.0, np.array([12]))
+        expected = np.zeros(2 ** 9, dtype=complex)
+        expected[12] = np.exp(-1j * 1.5 * 4.0)
+        assert np.allclose(col[:, 0], expected, atol=1e-15)
+
+    @pytest.mark.parametrize("L,dense_calls", [(CHEBYSHEV_MIN_QUBITS - 1, 3),
+                                               (10, 0)])
+    def test_dense_eigh_only_below_crossover(self, monkeypatch, L,
+                                             dense_calls):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        m = spin_glass_instance(L, np.random.default_rng(44))
+        run_chain(m, QuantumProposalConfig.for_model(m), 1.0, 3,
+                  np.random.default_rng(45), n_chains=2)
+        assert len(calls) == dense_calls
 
 
 class TestAccept:
