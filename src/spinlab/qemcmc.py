@@ -27,7 +27,8 @@ import numpy as np
 from scipy import sparse
 from scipy.special import jv
 
-from .statevector import CapacityError, SpinConfiguration, all_spin_values
+from .statevector import (CapacityError, SpinConfiguration, _rotate_qubits,
+                          _x_gate, all_spin_values)
 
 MAX_EXACT_QUBITS = 12
 MAX_TROTTER_QUBITS = 20
@@ -282,16 +283,11 @@ def _trotter_columns(v_table: np.ndarray, gamma: float, t: float,
     amps[start, np.arange(start.size)] = 1.0
     dt = t / steps
     dphase = np.exp(-1j * dt * v_table)[:, None]
-    a = gamma * dt
-    c, s = np.cos(a), -1j * np.sin(a)
+    gate = _x_gate(gamma * dt)
+    gates = [(k, gate) for k in range(L)]
     for _ in range(steps):
         amps *= dphase
-        for k in range(L):
-            view = amps.reshape(2 ** (L - 1 - k), 2, -1)
-            top = c * view[:, 0, :] + s * view[:, 1, :]
-            bot = s * view[:, 0, :] + c * view[:, 1, :]
-            view[:, 0, :] = top
-            view[:, 1, :] = bot
+        _rotate_qubits(amps, L, gates)
     return amps
 
 
@@ -486,11 +482,8 @@ def build_proposal_matrix(model: ClassicalSpinModel,
 
 def single_flip_matrix(L: int) -> TransitionMatrix:
     """Uniform-site single-flip proposal as an explicit matrix."""
-    dim = 2 ** L
-    t = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for k in range(L):
-        t[idx, idx ^ (1 << k)] = 1.0 / L
+    t = _x_sum_matrix(L)
+    t /= L
     return TransitionMatrix(proposal=t)
 
 

@@ -148,23 +148,46 @@ def apply_exp_zz(s: StateVector, theta: float, model: TFIMModel) -> StateVector:
     return StateVector(s.amplitudes * phases)
 
 
-def _apply_single_qubit(amps: np.ndarray, n: int, k: int,
-                        gate: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate on qubit k of a length-2^n amplitude array."""
-    tensor = amps.reshape(2 ** (n - 1 - k), 2, 2 ** k)
-    return np.einsum("ab,ibk->iak", gate, tensor).reshape(amps.size)
+def _rotate_qubits(amps: np.ndarray, n: int,
+                   gates: Sequence[tuple[int, np.ndarray]]) -> None:
+    """Apply (qubit, 2x2 gate) pairs in order, in place.
+
+    amps is a C-contiguous (2^n,) vector or (2^n, m) block of m columns.
+    Plain elementwise products keep the bits identical to the per-column
+    result; a BLAS or FMA path could move the last bit of the golden CSVs.
+    """
+    for k, g in gates:
+        view = amps.reshape(2 ** (n - 1 - k), 2, -1)
+        v0, v1 = view[:, 0], view[:, 1]
+        top = g[0, 0] * v0 + g[0, 1] * v1
+        view[:, 1] = g[1, 0] * v0 + g[1, 1] * v1
+        view[:, 0] = top
+
+
+def _x_gate(a: float) -> np.ndarray:
+    """exp(-i a X) = cos(a) - i sin(a) X."""
+    return np.array([[np.cos(a), -1j * np.sin(a)],
+                     [-1j * np.sin(a), np.cos(a)]])
+
+
+def _x_sum(amps: np.ndarray, n: int) -> np.ndarray:
+    """sum_k X_k applied to a length-2^n array; k ascends, fixing the rounding."""
+    out = np.zeros_like(amps)
+    for k in range(n):
+        t = amps.reshape(2 ** (n - 1 - k), 2, -1)
+        o = out.reshape(2 ** (n - 1 - k), 2, -1)
+        o[:, 0] += t[:, 1]
+        o[:, 1] += t[:, 0]
+    return out
 
 
 def apply_exp_x(s: StateVector, theta: float, model: TFIMModel) -> StateVector:
     """exp(i theta H_2) with H_2 = -Gamma sum X_k, one rotation per qubit."""
     if s.n_qubits != model.L:
         raise ValueError("state size does not match model")
-    a = theta * model.Gamma
-    gate = np.array([[np.cos(a), -1j * np.sin(a)],
-                     [-1j * np.sin(a), np.cos(a)]])
-    amps = s.amplitudes
-    for k in range(model.L):
-        amps = _apply_single_qubit(amps, model.L, k, gate)
+    gate = _x_gate(theta * model.Gamma)
+    amps = s.amplitudes.copy()
+    _rotate_qubits(amps, model.L, [(k, gate) for k in range(model.L)])
     return StateVector(amps)
 
 
@@ -228,14 +251,7 @@ def sample_z(s: StateVector, M: int, rng: np.random.Generator) -> list[SpinConfi
 
 def rotate_to_x_basis(s: StateVector) -> StateVector:
     """Hadamard on every qubit; Z-sampling the result measures X."""
-    n = s.n_qubits
-    amps = s.amplitudes
-    for k in range(n):
-        tensor = amps.reshape(2 ** (n - 1 - k), 2, 2 ** k)
-        plus = (tensor[:, 0, :] + tensor[:, 1, :]) / np.sqrt(2.0)
-        minus = (tensor[:, 0, :] - tensor[:, 1, :]) / np.sqrt(2.0)
-        amps = np.stack([plus, minus], axis=1).reshape(amps.size)
-    return StateVector(amps)
+    return rotate_to_basis(s, "X" * s.n_qubits)
 
 
 _BASIS_ROT = {
@@ -251,11 +267,13 @@ def rotate_to_basis(s: StateVector, basis: str) -> StateVector:
     """Per-qubit basis rotation; basis[k] in ZXY names qubit k's measurement."""
     if len(basis) != s.n_qubits:
         raise ValueError("basis string must cover every qubit")
-    amps = s.amplitudes
     for k, b in enumerate(basis):
-        if b == "Z":
-            continue
-        amps = _apply_single_qubit(amps, s.n_qubits, k, _BASIS_ROT[b])
+        if b not in _BASIS_ROT:
+            raise ValueError(f"basis letter {b!r} at qubit {k} is not one of "
+                             "Z, X, Y")
+    amps = s.amplitudes.copy()
+    _rotate_qubits(amps, s.n_qubits,
+                   [(k, _BASIS_ROT[b]) for k, b in enumerate(basis) if b != "Z"])
     return StateVector(amps)
 
 
@@ -333,17 +351,12 @@ def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
         diag, xpart = _split_diagonal_x(h)
         dt = t / steps
         dphase = np.exp(-1j * dt * diagonal_values(diag))
-        gates = []
-        for coeff, string in xpart.terms:
-            a = coeff.real * dt
-            gates.append((string.support()[0],
-                          np.array([[np.cos(a), -1j * np.sin(a)],
-                                    [-1j * np.sin(a), np.cos(a)]])))
-        amps = s.amplitudes
+        gates = [(string.support()[0], _x_gate(coeff.real * dt))
+                 for coeff, string in xpart.terms]
+        amps = s.amplitudes.copy()
         for _ in range(steps):
-            amps = amps * dphase
-            for k, gate in gates:
-                amps = _apply_single_qubit(amps, s.n_qubits, k, gate)
+            amps *= dphase
+            _rotate_qubits(amps, s.n_qubits, gates)
         return StateVector(amps)
     raise ValueError(f"unknown method {method!r}")
 

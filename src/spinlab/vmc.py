@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .statevector import SpinConfiguration, TFIMModel, all_spin_values
+from .statevector import SpinConfiguration, TFIMModel, _x_sum, all_spin_values
 from .vqe import EnergyEstimate
 
 TABLE_CAP = 20  # build full 2^L lookup tables up to this many sites
@@ -108,10 +108,7 @@ def local_energy_table(a, model: TFIMModel) -> np.ndarray:
     """
     amp = np.asarray(a.amplitude_table())
     zz = model.zz_sum_table().astype(float)
-    idx = np.arange(2 ** model.L)
-    ratio_sum = np.zeros(2 ** model.L, dtype=amp.dtype)
-    for k in range(model.L):
-        ratio_sum = ratio_sum + amp[idx ^ (1 << k)]
+    ratio_sum = _x_sum(amp, model.L)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = -model.J * zz - model.Gamma * np.where(
             amp != 0, ratio_sum / np.where(amp != 0, amp, 1), np.nan)
@@ -237,14 +234,7 @@ def estimate_energy_vmc(a, model: TFIMModel, M_vmc: int,
                         rng: np.random.Generator,
                         n_batches: int = 16) -> EnergyEstimate:
     """Sample mean of E_L with a batch-means error bar."""
-    idx = run_metropolis_chains(a, 1, M_vmc, default_burn_in(a.L), a.L, rng)[0]
-    e = local_energy_table(a, model)[idx]
-    mean = float(e.mean())
-    k = min(n_batches, M_vmc)
-    batches = np.array_split(e, k)
-    bm = np.array([b.mean() for b in batches])
-    stderr = float(bm.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-    return EnergyEstimate(mean=mean, stderr=stderr, shots_used=M_vmc)
+    return estimate_energy_vmc_batch(a, model, M_vmc, 1, rng, n_batches)[0]
 
 
 def estimate_energy_vmc_batch(a, model: TFIMModel, M_vmc: int, n_reps: int,
@@ -271,9 +261,7 @@ def estimate_energy_vmc_batch(a, model: TFIMModel, M_vmc: int, n_reps: int,
 
 def log_derivatives(a: JastrowAnsatz, x: SpinConfiguration) -> np.ndarray:
     """O_r(x) = d log psi / d lam_r = sum_k s_k s_{k+r}."""
-    spins = np.array(x.spins)
-    return np.array([np.sum(spins * np.roll(spins, -r))
-                     for r in range(1, a.L // 2 + 1)], dtype=float)
+    return _log_derivative_matrix(a, np.array([x.spins]))[0]
 
 
 def _log_derivative_matrix(a: JastrowAnsatz, spins: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .statevector import (
     StateVector,
     SpinConfiguration,
     TFIMModel,
+    _x_sum,
     apply_exp_x,
     apply_exp_zz,
     apply_pauli_sum,
@@ -75,14 +76,7 @@ def _apply_h1(amps: np.ndarray, model: TFIMModel,
 
 
 def _apply_h2(amps: np.ndarray, model: TFIMModel) -> np.ndarray:
-    n = model.L
-    out = np.zeros_like(amps)
-    for k in range(n):
-        t = amps.reshape(2 ** (n - 1 - k), 2, 2 ** k)
-        o = out.reshape(2 ** (n - 1 - k), 2, 2 ** k)
-        o[:, 0, :] += t[:, 1, :]
-        o[:, 1, :] += t[:, 0, :]
-    return -model.Gamma * out
+    return -model.Gamma * _x_sum(amps, model.L)
 
 
 def energy_and_gradient(a: HVAnsatz, h: PauliSum) -> tuple[float, np.ndarray]:

@@ -22,6 +22,7 @@ from spinlab.qemcmc import (
     TransitionMatrix,
     _chebyshev_columns,
     _evolved_columns,
+    _trotter_columns,
     accept,
     assemble_kernel,
     autocorrelation_time,
@@ -42,7 +43,14 @@ from spinlab.qemcmc import (
     spin_glass_instance,
     uniform_matrix,
 )
-from spinlab.statevector import CapacityError, SpinConfiguration, all_spin_values
+from spinlab.pauli import PauliString, PauliSum
+from spinlab.statevector import (
+    CapacityError,
+    SpinConfiguration,
+    all_spin_values,
+    basis_state,
+    evolve,
+)
 
 
 def pair_energy_oracle(model: ClassicalSpinModel, spins) -> float:
@@ -232,6 +240,29 @@ class TestProposeQuantum:
         emp = np.bincount(draws, minlength=8) / 4000
         sigma = np.sqrt(probs * (1 - probs) / 4000)
         assert np.all(np.abs(emp - probs) < 5 * sigma + 1e-4)
+
+    def test_trotter_columns_match_statevector_trotter(self):
+        L, g, t, steps = 5, 0.7, 2.3, 9
+        rng = np.random.default_rng(13)
+        m = spin_glass_instance(L, rng)
+        m = ClassicalSpinModel(L, m.couplings, rng.normal(size=L))
+        terms = []
+        for i in range(L):
+            letters = ["I"] * L
+            letters[i] = "Z"
+            terms.append((-m.fields[i], PauliString("".join(letters))))
+            terms.append((g, PauliString.single(L, i, "X")))
+            for j in range(i + 1, L):
+                letters = ["I"] * L
+                letters[i] = letters[j] = "Z"
+                terms.append((-m.couplings[i, j],
+                              PauliString("".join(letters))))
+        h = PauliSum.from_terms(L, terms)
+        start = np.array([0, 7, 19, 31])
+        cols = _trotter_columns(energy_table(m), g, t, start, steps)
+        for c, x in enumerate(start):
+            want = evolve(basis_state(L, int(x)), h, t, "trotter", steps)
+            assert np.max(np.abs(cols[:, c] - want.amplitudes)) <= 1e-12
 
     def test_exact_capacity_limit(self):
         L = 13

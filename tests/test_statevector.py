@@ -13,6 +13,7 @@ from spinlab.statevector import (
     SpinConfiguration,
     StateVector,
     TFIMModel,
+    _rotate_qubits,
     all_spin_values,
     apply_exp_x,
     apply_exp_zz,
@@ -153,6 +154,23 @@ class TestLayers:
         assert flip.n_qubits == 3
 
 
+class TestRotationKernel:
+    def test_block_matches_separate_columns_bitwise(self):
+        rng = np.random.default_rng(30)
+        n, m = 6, 5
+        gates = []
+        for k in (3, 0, 5, 3, 1):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2))
+                                + 1j * rng.normal(size=(2, 2)))
+            gates.append((k, q))
+        block = rng.normal(size=(2 ** n, m)) + 1j * rng.normal(size=(2 ** n, m))
+        cols = [block[:, c].copy() for c in range(m)]
+        _rotate_qubits(block, n, gates)
+        for c, col in enumerate(cols):
+            _rotate_qubits(col, n, gates)
+            assert np.array_equal(block[:, c], col)
+
+
 def _flip_perm(n: int) -> np.ndarray:
     return np.arange(2 ** n) ^ (2 ** n - 1)
 
@@ -268,6 +286,25 @@ class TestBasisRotation:
         rotated = rotate_to_basis(s, "YZ")
         assert expectation(s, y0) == pytest.approx(expectation(rotated, z0))
 
+    def test_mixed_basis_matches_kronecker_product(self):
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+        rot = {"Z": np.eye(2), "X": hadamard,
+               "Y": hadamard @ np.diag([1.0, -1.0j])}
+        basis = "XYZYX"
+        dense = np.array([[1.0]])
+        for b in basis:  # qubit k is bit k, so later qubits go on the left
+            dense = np.kron(rot[b], dense)
+        s = random_state(5, np.random.default_rng(31))
+        got = rotate_to_basis(s, basis).amplitudes
+        assert np.allclose(got, dense @ s.amplitudes, atol=1e-13)
+
+    @pytest.mark.parametrize("basis,letter,pos", [("ZIX", "I", 1),
+                                                  ("XZx", "x", 2)])
+    def test_unknown_letter_named(self, basis, letter, pos):
+        s = random_state(3, np.random.default_rng(32))
+        with pytest.raises(ValueError, match=f"'{letter}' at qubit {pos}"):
+            rotate_to_basis(s, basis)
+
 
 # ---------------------------------------------------------------------------
 # Diagonalization
@@ -357,6 +394,26 @@ class TestEvolve:
             errs.append(np.linalg.norm(tr - exact))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
+
+    def test_trotter_site_dependent_field_converges(self):
+        # distinct c_k per qubit: a gate built from the wrong coefficient
+        # leaves an error that does not shrink with the step count
+        n = 4
+        rng = np.random.default_rng(33)
+        s = random_state(n, rng)
+        terms = [(-0.8, PauliString("ZZII")), (0.5, PauliString("IZZI")),
+                 (-1.1, PauliString("IIZZ")), (0.3, PauliString("ZIII"))]
+        for k, c in enumerate((0.4, -1.3, 0.9, 2.1)):
+            terms.append((c, PauliString.single(n, k, "X")))
+        h = PauliSum.from_terms(n, terms)
+        t = 1.0
+        exact = evolve(s, h, t, method="exact").amplitudes
+        errs = [np.linalg.norm(evolve(s, h, t, method="trotter",
+                                      steps=steps).amplitudes - exact)
+                for steps in (64, 128, 256)]
+        assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
+        assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
+        assert errs[2] < 1e-2
 
     def test_trotter_unitary(self):
         rng = np.random.default_rng(29)
