@@ -88,6 +88,25 @@ class PauliString:
         return reduce(np.kron, mats)
 
 
+def _bit_action(p: PauliString,
+                idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and values of P's nonzeros in the uint64 columns idx.
+
+    P|j> = i^ny (-1)^popcount(j & sign) |j ^ flip>, where flip marks the X/Y
+    letters, sign the Z/Y letters and ny counts the Y letters.
+    """
+    flip = sign = ny = 0
+    for k, c in enumerate(p.letters):
+        if c in "XY":
+            flip |= 1 << k
+        if c in "ZY":
+            sign |= 1 << k
+        if c == "Y":
+            ny += 1
+    parity = np.bitwise_count(idx & np.uint64(sign)) & 1
+    return idx ^ np.uint64(flip), (1j ** ny) * np.where(parity, -1.0, 1.0)
+
+
 def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Product a*b as (phase, string) with phase in {1, -1, i, -i}."""
     if a.n_qubits != b.n_qubits:
@@ -168,10 +187,14 @@ class PauliSum:
         return PauliSum.from_terms(self.n_qubits, out)
 
     def dense(self) -> np.ndarray:
+        """Dense matrix, one scatter-add of 2^n nonzeros per term."""
         dim = 2 ** self.n_qubits
+        idx = np.arange(dim, dtype=np.uint64)
         mat = np.zeros((dim, dim), dtype=complex)
+        flat = mat.reshape(-1)
         for coeff, string in self.terms:
-            mat += coeff * string.dense()
+            rows, phase = _bit_action(string, idx)
+            flat[rows * np.uint64(dim) + idx] += coeff * phase
         return mat
 
 

@@ -287,7 +287,7 @@ def _trotter_columns(v_table: np.ndarray, gamma: float, t: float,
     gates = [(k, gate) for k in range(L)]
     for _ in range(steps):
         amps *= dphase
-        _rotate_qubits(amps, L, gates)
+        _rotate_qubits(amps, gates)
     return amps
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, _bit_action
 
 MAX_STATE_QUBITS = 26
 MAX_DENSE_QUBITS = 12
@@ -140,24 +141,18 @@ def basis_state(n: int, index: int) -> StateVector:
     return StateVector(amps)
 
 
-def apply_exp_zz(s: StateVector, theta: float, model: TFIMModel) -> StateVector:
-    """exp(i theta H_1) with H_1 = -J sum Z_k Z_{k+1}: a diagonal phase layer."""
-    if s.n_qubits != model.L:
-        raise ValueError("state size does not match model")
-    phases = np.exp(1j * theta * (-model.J) * model.zz_sum_table())
-    return StateVector(s.amplitudes * phases)
-
-
-def _rotate_qubits(amps: np.ndarray, n: int,
+def _rotate_qubits(amps: np.ndarray,
                    gates: Sequence[tuple[int, np.ndarray]]) -> None:
     """Apply (qubit, 2x2 gate) pairs in order, in place.
 
-    amps is a C-contiguous (2^n,) vector or (2^n, m) block of m columns.
-    Plain elementwise products keep the bits identical to the per-column
-    result; a BLAS or FMA path could move the last bit of the golden CSVs.
+    amps is C-contiguous: a (2^n, m) block of m columns, or a flat vector
+    holding one or more 2^n states back to back (a C-contiguous (m, 2^n)
+    stack passed as ``reshape(-1)``).  Plain elementwise products keep the
+    bits identical to the one-vector result; a BLAS or FMA path could move
+    the last bit of the golden CSVs.
     """
     for k, g in gates:
-        view = amps.reshape(2 ** (n - 1 - k), 2, -1)
+        view = amps.reshape(amps.shape[0] >> (k + 1), 2, -1)
         v0, v1 = view[:, 0], view[:, 1]
         top = g[0, 0] * v0 + g[0, 1] * v1
         view[:, 1] = g[1, 0] * v0 + g[1, 1] * v1
@@ -181,36 +176,63 @@ def _x_sum(amps: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def apply_exp_x(s: StateVector, theta: float, model: TFIMModel) -> StateVector:
-    """exp(i theta H_2) with H_2 = -Gamma sum X_k, one rotation per qubit."""
+@lru_cache(maxsize=4)
+def _zz_levels(L: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of the ZZ table and each basis index's level, read-only.
+
+    ``vals[inv]`` is ``TFIMModel.zz_sum_table()``; it has at most L + 1
+    levels, so a phase layer needs only that many exponentials.
+    """
+    table = TFIMModel(L, periodic=periodic).zz_sum_table()
+    vals, inv = np.unique(table, return_inverse=True)
+    vals.flags.writeable = False
+    inv.flags.writeable = False
+    return vals, inv
+
+
+def _hva_layer(block: np.ndarray, model: TFIMModel, slot: int,
+               theta: float) -> None:
+    """exp(i theta H_1) for slot 0, exp(i theta H_2) for slot 1, in place.
+
+    block is a C-contiguous (2^L,) vector or (m, 2^L) stack of rows.  Every
+    row comes out bitwise equal to the same layer on it alone.
+    """
+    if slot == 0:
+        vals, inv = _zz_levels(model.L, model.periodic)
+        block *= np.exp(1j * theta * (-model.J) * vals)[inv]
+    else:
+        gate = _x_gate(theta * model.Gamma)
+        _rotate_qubits(block.reshape(-1), [(k, gate) for k in range(model.L)])
+
+
+def _layer(s: StateVector, model: TFIMModel, slot: int,
+           theta: float) -> StateVector:
     if s.n_qubits != model.L:
         raise ValueError("state size does not match model")
-    gate = _x_gate(theta * model.Gamma)
     amps = s.amplitudes.copy()
-    _rotate_qubits(amps, model.L, [(k, gate) for k in range(model.L)])
+    _hva_layer(amps, model, slot, theta)
     return StateVector(amps)
+
+
+def apply_exp_zz(s: StateVector, theta: float, model: TFIMModel) -> StateVector:
+    """exp(i theta H_1) with H_1 = -J sum Z_k Z_{k+1}: a diagonal phase layer."""
+    return _layer(s, model, 0, theta)
+
+
+def apply_exp_x(s: StateVector, theta: float, model: TFIMModel) -> StateVector:
+    """exp(i theta H_2) with H_2 = -Gamma sum X_k, one rotation per qubit."""
+    return _layer(s, model, 1, theta)
 
 
 def apply_pauli_string(s: StateVector, p: PauliString) -> np.ndarray:
     """Raw amplitudes of P|psi>.  Uses the bit action of each letter."""
     if p.n_qubits != s.n_qubits:
         raise ValueError("operator size does not match state")
-    n = s.n_qubits
-    flip = 0
-    sign_mask = 0
-    ny = 0
-    for k, c in enumerate(p.letters):
-        if c in "XY":
-            flip |= 1 << k
-        if c in "ZY":
-            sign_mask |= 1 << k
-        if c == "Y":
-            ny += 1
-    idx = np.arange(2 ** n, dtype=np.uint64)
-    src = idx ^ np.uint64(flip)
-    parity = np.bitwise_count(src & np.uint64(sign_mask)) & 1
-    phase = (1j ** ny) * np.where(parity, -1.0, 1.0)
-    return phase * s.amplitudes[src]
+    idx = np.arange(s.amplitudes.size, dtype=np.uint64)
+    rows, phase = _bit_action(p, idx)
+    out = np.empty_like(s.amplitudes)
+    out[rows] = phase * s.amplitudes
+    return out
 
 
 def expectation(s: StateVector, h: PauliSum) -> float:
@@ -272,7 +294,7 @@ def rotate_to_basis(s: StateVector, basis: str) -> StateVector:
             raise ValueError(f"basis letter {b!r} at qubit {k} is not one of "
                              "Z, X, Y")
     amps = s.amplitudes.copy()
-    _rotate_qubits(amps, s.n_qubits,
+    _rotate_qubits(amps,
                    [(k, _BASIS_ROT[b]) for k, b in enumerate(basis) if b != "Z"])
     return StateVector(amps)
 
@@ -356,7 +378,7 @@ def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
         amps = s.amplitudes.copy()
         for _ in range(steps):
             amps *= dphase
-            _rotate_qubits(amps, s.n_qubits, gates)
+            _rotate_qubits(amps, gates)
         return StateVector(amps)
     raise ValueError(f"unknown method {method!r}")
 

@@ -19,9 +19,9 @@ from .statevector import (
     StateVector,
     SpinConfiguration,
     TFIMModel,
+    _hva_layer,
     _x_sum,
-    apply_exp_x,
-    apply_exp_zz,
+    _zz_levels,
     apply_pauli_sum,
     init_plus,
     rotate_to_basis,
@@ -61,22 +61,27 @@ class HVAnsatz:
         return cls(model, depth, (0.0,) * (2 * depth))
 
 
+def _forward(a: HVAnsatz, psi: np.ndarray) -> None:
+    """Write the trial state into the (2^L,) array psi, layer by layer."""
+    psi[:] = init_plus(a.model.L).amplitudes
+    for j, theta in enumerate(a.params):
+        _hva_layer(psi, a.model, j % 2, theta)
+
+
 def prepare(a: HVAnsatz) -> StateVector:
     """Trial state: d blocks of exp(i th_1 H_1), exp(i th_2 H_2) on |+...+>."""
-    s = init_plus(a.model.L)
-    for i in range(a.depth):
-        s = apply_exp_zz(s, a.params[2 * i], a.model)
-        s = apply_exp_x(s, a.params[2 * i + 1], a.model)
-    return s
+    psi = np.empty(2 ** a.model.L, dtype=complex)
+    _forward(a, psi)
+    return StateVector(psi)
 
 
-def _apply_h1(amps: np.ndarray, model: TFIMModel,
-              zz_table: np.ndarray) -> np.ndarray:
-    return (-model.J * zz_table) * amps
-
-
-def _apply_h2(amps: np.ndarray, model: TFIMModel) -> np.ndarray:
-    return -model.Gamma * _x_sum(amps, model.L)
+def _apply_generator(amps: np.ndarray, model: TFIMModel,
+                     slot: int) -> np.ndarray:
+    """H_1 |amps> for slot 0, H_2 |amps> for slot 1."""
+    if slot == 1:
+        return -model.Gamma * _x_sum(amps, model.L)
+    vals, inv = _zz_levels(model.L, model.periodic)
+    return (-model.J * vals)[inv] * amps
 
 
 def energy_and_gradient(a: HVAnsatz, h: PauliSum) -> tuple[float, np.ndarray]:
@@ -85,30 +90,21 @@ def energy_and_gradient(a: HVAnsatz, h: PauliSum) -> tuple[float, np.ndarray]:
     With |psi> = U_N ... U_1 |+> and U_j = exp(i theta_j G_j), the derivative
     is dE/dtheta_j = -2 Im <b_j|G_j|a_j> where a_j is the state after layer j
     and b_j carries H|psi> pulled back through the later layers.  One forward
-    and one backward sweep, two states held at a time.
+    sweep, then a backward one that un-applies each layer to both states at
+    once as the rows of one (2, 2^L) array.
     """
     model = a.model
-    zz_table = model.zz_sum_table()
-    psi = prepare(a)
-    fwd = StateVector(psi.amplitudes)
-    energy = float(np.vdot(psi.amplitudes,
-                           apply_pauli_sum(psi, h)).real)
-    bwd = StateVector(apply_pauli_sum(psi, h))
+    # rows, not columns: np.vdot on a strided column rounds differently
+    pair = np.empty((2, 2 ** model.L), dtype=complex)
+    psi, hpsi = pair
+    _forward(a, psi)
+    hpsi[:] = apply_pauli_sum(StateVector(psi), h)
+    energy = float(np.vdot(psi, hpsi).real)
     grad = np.zeros(a.n_params)
     for j in range(a.n_params - 1, -1, -1):
-        slot = j % 2
-        theta = a.params[j]
-        if slot == 1:
-            g_a = _apply_h2(fwd.amplitudes, model)
-        else:
-            g_a = _apply_h1(fwd.amplitudes, model, zz_table)
-        grad[j] = -2.0 * float(np.imag(np.vdot(bwd.amplitudes, g_a)))
-        if slot == 1:
-            fwd = apply_exp_x(fwd, -theta, model)
-            bwd = apply_exp_x(bwd, -theta, model)
-        else:
-            fwd = apply_exp_zz(fwd, -theta, model)
-            bwd = apply_exp_zz(bwd, -theta, model)
+        g_a = _apply_generator(psi, model, j % 2)
+        grad[j] = -2.0 * float(np.imag(np.vdot(hpsi, g_a)))
+        _hva_layer(pair, model, j % 2, -a.params[j])
     return energy, grad
 
 
@@ -339,30 +335,20 @@ class SRMatrix:
 
 
 def _derivative_states(a: HVAnsatz) -> tuple[StateVector, np.ndarray]:
-    """|psi> and the matrix of derivative amplitudes d|psi>/dtheta_j."""
+    """|psi> and the matrix of derivative amplitudes d|psi>/dtheta_j.
+
+    Row j is i G_j applied right after layer j; every later layer then acts
+    on the rows already written, as one (j, 2^L) block.
+    """
     model = a.model
-    zz_table = model.zz_sum_table()
-    layers: list[StateVector] = [init_plus(model.L)]
-    for i in range(a.depth):
-        layers.append(apply_exp_zz(layers[-1], a.params[2 * i], model))
-        layers.append(apply_exp_x(layers[-1], a.params[2 * i + 1], model))
-    psi = layers[-1]
-    derivs = np.zeros((a.n_params, psi.amplitudes.size), dtype=complex)
-    for j in range(a.n_params):
-        slot = j % 2
-        base = layers[j + 1].amplitudes  # state right after layer j
-        if slot == 1:
-            d = 1j * _apply_h2(base, model)
-        else:
-            d = 1j * _apply_h1(base, model, zz_table)
-        cur = StateVector(d)  # remaining layers are unitary, norm free
-        for k in range(j + 1, a.n_params):
-            if k % 2 == 1:
-                cur = apply_exp_x(cur, a.params[k], model)
-            else:
-                cur = apply_exp_zz(cur, a.params[k], model)
-        derivs[j] = cur.amplitudes
-    return psi, derivs
+    psi = init_plus(model.L).amplitudes.copy()
+    derivs = np.zeros((a.n_params, psi.size), dtype=complex)
+    for k, theta in enumerate(a.params):
+        if k:
+            _hva_layer(derivs[:k], model, k % 2, theta)
+        _hva_layer(psi, model, k % 2, theta)
+        derivs[k] = 1j * _apply_generator(psi, model, k % 2)
+    return StateVector(psi), derivs
 
 
 def sr_matrix(a: HVAnsatz, block_size: int | None = None) -> SRMatrix:

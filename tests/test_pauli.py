@@ -22,7 +22,7 @@ from spinlab.pauli import (
     pauli_sum_to_json,
     qubitwise_commute,
 )
-from spinlab.statevector import TFIMModel
+from spinlab.statevector import TFIMModel, exact_spectrum
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -143,6 +143,25 @@ class TestPauliSum:
             a = PauliSum.from_terms(3, terms_a)
             b = PauliSum.from_terms(3, terms_b)
             assert np.allclose((a @ b).dense(), a.dense() @ b.dense(), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_dense_matches_kron_sum_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            terms = [(complex(rng.normal(), rng.normal()),
+                      PauliString("".join(rng.choice(list("IXYZ"), size=n))))
+                     for _ in range(12)]
+            h = PauliSum.from_terms(n, terms)
+            want = np.zeros((2 ** n, 2 ** n), dtype=complex)
+            for coeff, string in h.terms:
+                want += coeff * dense_oracle(string.letters)
+            assert h.dense().tobytes() == want.tobytes()
+
+    def test_non_hermitian_sum_rejected_by_exact_spectrum(self):
+        h = PauliSum.from_terms(2, [(1.0, PauliString("ZZ")),
+                                    (0.5j, PauliString("XI"))])
+        with pytest.raises(ValueError, match="sum is not Hermitian"):
+            exact_spectrum(h)
 
     def test_one_norm_skips_identity(self):
         s = PauliSum.from_terms(2, [(5.0, PauliString("II")),

@@ -132,6 +132,32 @@ class TestLayers:
         got = apply_exp_zz(s, theta, model).amplitudes
         assert np.allclose(got, want, atol=1e-10)
 
+    @pytest.mark.parametrize("L,periodic", [(1, True), (4, False), (9, True)])
+    def test_exp_zz_matches_full_table_phases_bitwise(self, L, periodic):
+        model = TFIMModel(L=L, J=-0.7, periodic=periodic)
+        s = random_state(L, np.random.default_rng(L))
+        for theta in (0.37, -2.9):
+            want = s.amplitudes * np.exp(1j * theta * (-model.J)
+                                         * model.zz_sum_table())
+            assert np.array_equal(apply_exp_zz(s, theta, model).amplitudes,
+                                  want)
+
+    @pytest.mark.parametrize("L", [1, 3, 8])
+    def test_exp_x_matches_qubit_by_qubit_bitwise(self, L):
+        model = TFIMModel(L=L, Gamma=1.3)
+        s = random_state(L, np.random.default_rng(L))
+        idx = np.arange(2 ** L)
+        for theta in (0.37, -2.9):
+            a = theta * model.Gamma
+            c, d = np.cos(a), -1j * np.sin(a)
+            want = s.amplitudes.copy()
+            for k in range(L):
+                lo = idx[(idx >> k) & 1 == 0]
+                a0, a1 = want[lo], want[lo | (1 << k)]
+                want[lo], want[lo | (1 << k)] = c * a0 + d * a1, d * a0 + c * a1
+            assert np.array_equal(apply_exp_x(s, theta, model).amplitudes,
+                                  want)
+
     def test_exp_x_matches_dense_exponential(self):
         model = TFIMModel(L=3, J=0.8, Gamma=0.6)
         terms = [(-model.Gamma, PauliString.single(3, k, "X")) for k in range(3)]
@@ -165,10 +191,22 @@ class TestRotationKernel:
             gates.append((k, q))
         block = rng.normal(size=(2 ** n, m)) + 1j * rng.normal(size=(2 ** n, m))
         cols = [block[:, c].copy() for c in range(m)]
-        _rotate_qubits(block, n, gates)
+        _rotate_qubits(block, gates)
         for c, col in enumerate(cols):
-            _rotate_qubits(col, n, gates)
+            _rotate_qubits(col, gates)
             assert np.array_equal(block[:, c], col)
+
+    def test_flat_row_stack_matches_separate_rows_bitwise(self):
+        rng = np.random.default_rng(31)
+        n, m = 5, 3
+        gates = [(k, scipy.linalg.expm(-1j * rng.normal() * np.array(
+            [[0, 1], [1, 0]]))) for k in (4, 0, 2, 0)]
+        stack = rng.normal(size=(m, 2 ** n)) + 1j * rng.normal(size=(m, 2 ** n))
+        rows = [row.copy() for row in stack]
+        _rotate_qubits(stack.reshape(-1), gates)
+        for r, row in enumerate(rows):
+            _rotate_qubits(row, gates)
+            assert np.array_equal(stack[r], row)
 
 
 def _flip_perm(n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import scipy.linalg
 from spinlab.pauli import (MeasurementGroups, PauliString, PauliSum,
                            group_qubitwise)
 from spinlab.statevector import (SpinConfiguration, StateVector, TFIMModel,
+                                 apply_exp_x, apply_exp_zz, apply_pauli_sum,
                                  basis_state, ground_state, init_plus)
 from spinlab.vqe import (HVAnsatz, ShotPlan, amplitude_ratio_estimate,
                          energy_and_gradient, estimate_energy_pauli,
@@ -73,24 +74,124 @@ class TestPrepare:
 # gradient
 # ---------------------------------------------------------------------------
 
+def _check_central_finite_differences(model: TFIMModel, depth: int,
+                                      seed: int) -> None:
+    h = model.as_pauli_sum()
+    rng = np.random.default_rng(seed)
+    a = HVAnsatz(model, depth, tuple(rng.uniform(-0.6, 0.6, 2 * depth)))
+    energy, grad = energy_and_gradient(a, h)
+    assert energy == pytest.approx(exact_energy(a, h), abs=1e-12)
+    step = 1e-5
+    for j in range(a.n_params):
+        up = np.asarray(a.params, dtype=float)
+        dn = up.copy()
+        up[j] += step
+        dn[j] -= step
+        fd = (exact_energy(a.with_params(up), h)
+              - exact_energy(a.with_params(dn), h)) / (2 * step)
+        assert grad[j] == pytest.approx(fd, abs=1e-6)
+
+
 class TestGradient:
     @pytest.mark.parametrize("L,depth,seed", [(4, 2, 0), (6, 4, 1), (4, 3, 2)])
     def test_matches_central_finite_differences(self, L, depth, seed):
-        model = TFIMModel(L=L)
-        h = model.as_pauli_sum()
-        rng = np.random.default_rng(seed)
-        a = HVAnsatz(model, depth, tuple(rng.uniform(-0.6, 0.6, 2 * depth)))
+        _check_central_finite_differences(TFIMModel(L=L), depth, seed)
+
+    def test_matches_finite_differences_open_chain(self):
+        model = TFIMModel(L=5, J=0.8, Gamma=1.3, periodic=False)
+        _check_central_finite_differences(model, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# bitwise regression: one layer at a time through the public layer functions
+# ---------------------------------------------------------------------------
+
+def _layer(j: int):
+    return apply_exp_x if j % 2 else apply_exp_zz
+
+
+def _generator(amps: np.ndarray, model: TFIMModel, j: int) -> np.ndarray:
+    """H_1|amps> for even j, H_2|amps> for odd j; X_k summed k ascending."""
+    if j % 2 == 0:
+        return (-model.J * model.zz_sum_table()) * amps
+    idx = np.arange(amps.size)
+    out = np.zeros_like(amps)
+    for k in range(model.L):
+        out += amps[idx ^ (1 << k)]
+    return -model.Gamma * out
+
+
+def _ref_prepare(a: HVAnsatz) -> StateVector:
+    s = init_plus(a.model.L)
+    for j, theta in enumerate(a.params):
+        s = _layer(j)(s, theta, a.model)
+    return s
+
+
+def _ref_energy_and_gradient(a: HVAnsatz, h: PauliSum):
+    """H|psi> pulled back with forward and backward states kept apart."""
+    fwd = _ref_prepare(a)
+    energy = float(np.vdot(fwd.amplitudes, apply_pauli_sum(fwd, h)).real)
+    bwd = StateVector(apply_pauli_sum(fwd, h))
+    grad = np.zeros(a.n_params)
+    for j in range(a.n_params - 1, -1, -1):
+        g_a = _generator(fwd.amplitudes, a.model, j)
+        grad[j] = -2.0 * float(np.imag(np.vdot(bwd.amplitudes, g_a)))
+        fwd = _layer(j)(fwd, -a.params[j], a.model)
+        bwd = _layer(j)(bwd, -a.params[j], a.model)
+    return energy, grad
+
+
+def _ref_sr_entries(a: HVAnsatz) -> np.ndarray:
+    """S from derivative states that replay every later layer one by one."""
+    states = [init_plus(a.model.L)]
+    for j, theta in enumerate(a.params):
+        states.append(_layer(j)(states[-1], theta, a.model))
+    psi = states[-1].amplitudes
+    derivs = np.zeros((a.n_params, psi.size), dtype=complex)
+    for j in range(a.n_params):
+        cur = StateVector(1j * _generator(states[j + 1].amplitudes, a.model, j))
+        for k in range(j + 1, a.n_params):
+            cur = _layer(k)(cur, a.params[k], a.model)
+        derivs[j] = cur.amplitudes
+    overlaps = derivs.conj() @ derivs.T
+    with_psi = derivs.conj() @ psi
+    s = np.real(overlaps - np.outer(with_psi, with_psi.conj()))
+    return (s + s.T) / 2
+
+
+BITWISE_CASES = [(L, J, gamma, periodic)
+                 for L in (1, 2, 5, 10)
+                 for J, gamma, periodic in ((0.8, 1.3, True),
+                                            (-0.6, 0.4, False))]
+
+
+def _bitwise_ansatz(L, J, gamma, periodic) -> HVAnsatz:
+    rng = np.random.default_rng(L)
+    return HVAnsatz(TFIMModel(L=L, J=J, Gamma=gamma, periodic=periodic), 3,
+                    tuple(rng.uniform(-1.5, 1.5, 6)))
+
+
+class TestBitwiseAgainstLayerByLayer:
+    @pytest.mark.parametrize("L,J,gamma,periodic", BITWISE_CASES)
+    def test_energy_and_gradient(self, L, J, gamma, periodic):
+        a = _bitwise_ansatz(L, J, gamma, periodic)
+        h = a.model.as_pauli_sum()
         energy, grad = energy_and_gradient(a, h)
-        assert energy == pytest.approx(exact_energy(a, h), abs=1e-12)
-        step = 1e-5
-        for j in range(a.n_params):
-            up = np.asarray(a.params, dtype=float)
-            dn = up.copy()
-            up[j] += step
-            dn[j] -= step
-            fd = (exact_energy(a.with_params(up), h)
-                  - exact_energy(a.with_params(dn), h)) / (2 * step)
-            assert grad[j] == pytest.approx(fd, abs=1e-6)
+        ref_energy, ref_grad = _ref_energy_and_gradient(a, h)
+        assert energy == ref_energy
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("L,J,gamma,periodic", BITWISE_CASES)
+    def test_prepare(self, L, J, gamma, periodic):
+        a = _bitwise_ansatz(L, J, gamma, periodic)
+        assert np.array_equal(prepare(a).amplitudes,
+                              _ref_prepare(a).amplitudes)
+
+    @pytest.mark.parametrize("L,J,gamma,periodic", BITWISE_CASES)
+    def test_sr_matrix(self, L, J, gamma, periodic):
+        a = _bitwise_ansatz(L, J, gamma, periodic)
+        assert np.array_equal(sr_matrix(a).entries, _ref_sr_entries(a))
 
 
 # ---------------------------------------------------------------------------
