@@ -10,17 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__
-from .harness import (fig2_experiment, gap_sweep, jw_map, load_config,
-                      qemcmc_run, vmc_run, vqe_run)
+from . import __version__, harness
+from .harness import jw_map, load_config
 
-EXPERIMENTS = {
-    "fig2": fig2_experiment,
-    "gap-sweep": gap_sweep,
-    "vqe-run": vqe_run,
-    "vmc-run": vmc_run,
-    "qemcmc-run": qemcmc_run,
-}
+EXPERIMENTS = dict(harness.EXPERIMENTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"spinlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name in EXPERIMENTS:
+        p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", type=Path, default=None,
                        help="key-value config file ('key = value' lines)")
         p.add_argument("--seed", type=int, default=0,
@@ -41,9 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for CSV and manifest")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes for independent tasks")
-
-    for name in EXPERIMENTS:
-        add_common(sub.add_parser(name, help=f"run the {name} experiment"))
 
     jw = sub.add_parser("jw-map",
                         help="map a fermion Hamiltonian file to Pauli form")

@@ -9,12 +9,15 @@ independent of worker scheduling.
 from __future__ import annotations
 
 import concurrent.futures
+import difflib
 import hashlib
 import json
+import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,19 +66,17 @@ def _parse_scalar(text: str):
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
     return text
 
 
 def parse_config_text(text: str) -> dict:
     out: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -86,6 +87,10 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ValueError(f"config line {lineno}: empty key")
+        if key in first_line:
+            raise ValueError(f"config line {lineno}: key {key!r} already "
+                             f"set on line {first_line[key]}")
+        first_line[key] = lineno
         if "," in value:
             out[key] = [_parse_scalar(v) for v in value.split(",")]
         else:
@@ -97,14 +102,94 @@ def load_config(path: str | Path) -> dict:
     return parse_config_text(Path(path).read_text())
 
 
-def _as_list(value) -> list:
-    if isinstance(value, list):
-        return value
-    return [value]
+# ---------------------------------------------------------------------------
+# Parameter tables: one typed row per config key
+# ---------------------------------------------------------------------------
+
+class Param(NamedTuple):
+    """One config key: its type, its default, whether it takes a list of
+    distinct values (each names derived seeds in the manifest), and the
+    values it allows, if only some are."""
+    key: str
+    kind: type
+    default: object
+    many: bool = False
+    choices: tuple = ()
+
+
+# What each declared type accepts before the cast; bools are always refused.
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _hint(word: str, options: Sequence[str]) -> str:
+    near = difflib.get_close_matches(word, options, n=1)
+    return (f"did you mean {near[0]!r}?" if near
+            else f"expected one of {', '.join(options)}")
+
+
+def _resolve_value(p: Param, value):
+    """The typed value of one key, or a ValueError that names the key."""
+    is_list = isinstance(value, (list, tuple))
+    if is_list and not p.many:
+        raise ValueError(f"config key {p.key!r} takes one value, got the "
+                         f"list {value!r}")
+    out = []
+    for v in value if is_list else [value]:
+        if isinstance(v, str):
+            v = v.strip()
+        if p.kind is int and isinstance(v, float) and v.is_integer():
+            v = int(v)
+        # a float key takes finite values only; float() of a larger int fails
+        if (isinstance(v, bool) or not isinstance(v, _ACCEPTS[p.kind])
+                or v == "" or p.kind is float and not abs(v) <= _FLOAT_MAX):
+            raise ValueError(f"config key {p.key!r}: expected "
+                             f"{p.kind.__name__}, got {v!r}")
+        v = p.kind(v)
+        if p.choices and v not in p.choices:
+            raise ValueError(f"config key {p.key!r}: unknown value {v!r}; "
+                             f"{_hint(v, p.choices)}")
+        if v in out:
+            raise ValueError(f"config key {p.key!r}: {v!r} is given twice")
+        out.append(v)
+    return out if p.many else out[0]
+
+
+def resolve_config(experiment: str, config: dict) -> dict:
+    """Every key of the experiment's table with its typed value or default;
+    an unknown key or a bad value raises a ValueError that names the key."""
+    params = {p.key: p for p in PARAMS[experiment]}
+    for key in config:
+        if key not in params:
+            raise ValueError(f"unknown config key {key!r} for {experiment}; "
+                             f"{_hint(str(key), list(params))}")
+    return {key: _resolve_value(p, config[key]) if key in config
+            else list(p.default) if p.many else p.default
+            for key, p in params.items()}
+
+
+_ENSEMBLES = ("ferromagnet", "fully-connected", "chain")
+_PROPOSALS = Param("proposals", str, ("quantum", "single-flip"), many=True,
+                   choices=("quantum", "single-flip", "uniform"))
+_CLASSICAL_MATRICES = {"single-flip": single_flip_matrix,
+                       "uniform": uniform_matrix}
+
+_TFIM = (Param("L", int, 10), Param("J", float, 1.0),
+         Param("Gamma", float, 1.0))
+_VQE_MODEL = tuple(p._replace(key="model." + p.key) for p in _TFIM)
+_OPTIMIZER = (Param("optimizer.method", str, "quasi-newton"),
+              Param("optimizer.restarts", int, 4),
+              Param("optimizer.max_iter", int, 40))
+_JASTROW = (Param("lam1_grid", float, LAM1_GRID, many=True),
+            Param("jastrow_tail", float, L10_JASTROW_OPTIMUM[1:], many=True))
+
+# Each experiment's table and entry point, filled in by ``_experiment``.
+PARAMS: dict[str, tuple[Param, ...]] = {}
+EXPERIMENTS: dict[str, Callable] = {}
 
 
 # ---------------------------------------------------------------------------
-# Manifest and CSV plumbing
+# Manifest and CSV plumbing, and the one experiment runner
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -120,16 +205,8 @@ class RunManifest:
 
     def write(self, out_dir: Path) -> Path:
         path = out_dir / f"{self.experiment}_manifest.json"
-        doc = {
-            "experiment": self.experiment,
-            "master_seed": self.master_seed,
-            "config": self.config,
-            "derived_seeds": self.derived_seeds,
-            "outputs": self.outputs,
-            "csv_schema_version": self.csv_schema_version,
-            "artifact_version": self.artifact_version,
-            "duration_seconds": round(self.duration_seconds, 3),
-        }
+        doc = {**vars(self),
+               "duration_seconds": round(self.duration_seconds, 3)}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return path
 
@@ -162,6 +239,40 @@ def _run_tasks(fn: Callable, args_list: list, threads: int) -> list:
     with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, *a) for a in args_list]
         return [f.result() for f in futures]
+
+
+def _experiment(name: str, params: tuple[Param, ...]):
+    """Register an experiment's table and wrap its body as the entry point
+    ``(config, out_dir, master_seed, threads=1) -> RunManifest``.
+
+    The body takes the resolved config, the master seed and the worker count
+    and returns the CSV header, rows, derived seeds and manifest outputs (the
+    CSV file name under "csv").  The config is resolved before any work or
+    output; the body's run is timed and its CSV and manifest written.
+    """
+    PARAMS[name] = params
+
+    def bind(body: Callable) -> Callable[..., RunManifest]:
+        def run(config: dict, out_dir: Path, master_seed: int,
+                threads: int = 1) -> RunManifest:
+            cfg = resolve_config(name, config)
+            t0 = time.time()
+            out_dir.mkdir(parents=True, exist_ok=True)
+            header, rows, seeds, outputs = body(cfg, master_seed, threads)
+            write_csv(out_dir / outputs["csv"], header, rows)
+            manifest = RunManifest(
+                experiment=name, master_seed=master_seed, config=cfg,
+                derived_seeds=seeds, outputs=outputs,
+                duration_seconds=time.time() - t0)
+            manifest.write(out_dir)
+            return manifest
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        EXPERIMENTS[name] = run
+        return run
+
+    return bind
 
 
 # ---------------------------------------------------------------------------
@@ -198,32 +309,31 @@ def optimize_depth_sweep(model: TFIMModel, depths: Sequence[int],
 # fig2: estimator standard deviation vs ansatz quality
 # ---------------------------------------------------------------------------
 
-def _pauli_cell(params: tuple, depth: int, L: int, J: float, Gamma: float,
-                m: int, reps: int, seed: int) -> tuple[float, float]:
-    """Std and mean of repeated grouped-measurement estimates for one state."""
-    model = TFIMModel(L=L, J=J, Gamma=Gamma)
-    h = model.as_pauli_sum()
+def _pauli_cell(a: HVAnsatz, m: int, reps: int, seed: int) -> float:
+    """Std of repeated grouped-measurement estimates for one state."""
+    h = a.model.as_pauli_sum()
     groups = group_qubitwise(h)
-    s = prepare(HVAnsatz(model, depth, params))
+    s = prepare(a)
     plan = ShotPlan.uniform(groups.n_groups, m)
     rng = np.random.default_rng(seed)
     means = np.array([estimate_energy_pauli(s, h, groups, plan, rng).mean
                       for _ in range(reps)])
-    return float(means.std(ddof=1)), float(means.mean())
+    return float(means.std(ddof=1))
 
 
-def _vmc_cell(lam: tuple, L: int, J: float, Gamma: float, m: int, reps: int,
-              seed: int) -> tuple[float, float]:
-    model = TFIMModel(L=L, J=J, Gamma=Gamma)
-    a = JastrowAnsatz(L, lam)
+def _vmc_cell(a: JastrowAnsatz, model: TFIMModel, m: int, reps: int,
+              seed: int) -> float:
     rng = np.random.default_rng(seed)
     ests = estimate_energy_vmc_batch(a, model, m, reps, rng)
     means = np.array([e.mean for e in ests])
-    return float(means.std(ddof=1)), float(means.mean())
+    return float(means.std(ddof=1))
 
 
-def fig2_experiment(config: dict, out_dir: Path, master_seed: int,
-                    threads: int = 1) -> RunManifest:
+@_experiment("fig2", _TFIM + _OPTIMIZER + _JASTROW + (
+    Param("depths", int, (12, 16, 20, 24), many=True),
+    Param("shots", int, (100, 1000, 100000), many=True),
+    Param("repetitions", int, 100)))
+def fig2_experiment(cfg: dict, master_seed: int, threads: int):
     """Standard deviation of both estimators against exact ansatz quality.
 
     Pauli branch: circuit depths with noiseless warm-started optimization,
@@ -231,68 +341,41 @@ def fig2_experiment(config: dict, out_dir: Path, master_seed: int,
     with its leading coupling swept away from the optimum.  Both report the
     spread over independent repetitions at each sample budget.
     """
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    L = int(config.get("L", 10))
-    J = float(config.get("J", 1.0))
-    Gamma = float(config.get("Gamma", 1.0))
-    depths = [int(d) for d in _as_list(config.get("depths", [12, 16, 20, 24]))]
-    shots = [int(m) for m in _as_list(config.get("shots", [100, 1000, 100000]))]
-    reps = int(config.get("repetitions", 100))
-    method = str(config.get("optimizer.method", "quasi-newton"))
-    restarts = int(config.get("optimizer.restarts", 4))
-    max_iter = int(config.get("optimizer.max_iter", 40))
-    lam1_grid = [float(v) for v in _as_list(config.get("lam1_grid",
-                                                       list(LAM1_GRID)))]
-
-    model = TFIMModel(L=L, J=J, Gamma=Gamma)
+    L, shots, reps = cfg["L"], cfg["shots"], cfg["repetitions"]
+    model = TFIMModel(L=L, J=cfg["J"], Gamma=cfg["Gamma"])
     h = model.as_pauli_sum()
     e0, v0 = ground_state(h)
-    ansatze = optimize_depth_sweep(model, depths, master_seed, method,
-                                   restarts, max_iter)
+    ansatze = optimize_depth_sweep(model, cfg["depths"], master_seed,
+                                   cfg["optimizer.method"],
+                                   cfg["optimizer.restarts"],
+                                   cfg["optimizer.max_iter"])
+    depth_rel = {f"d{a.depth}": abs(exact_energy(a, h) - e0) / abs(e0)
+                 for a in ansatze}
 
-    rows = []
+    # Each cell is a CSV row without its last column, the sampled std.
     seeds: dict = {}
-    task = 0
+    cells = []
     pauli_args = []
     for a in ansatze:
         for m in shots:
-            seed = derive_seed(master_seed, "fig2-pauli", task)
+            seed = derive_seed(master_seed, "fig2-pauli", len(pauli_args))
             seeds[f"pauli/d{a.depth}/M{m}"] = seed
-            pauli_args.append((a.params, a.depth, L, J, Gamma, m, reps, seed))
-            task += 1
-    pauli_out = _run_tasks(_pauli_cell, pauli_args, threads)
-    i = 0
-    for a in ansatze:
-        e_var = exact_energy(a, h)
-        rel = abs(e_var - e0) / abs(e0)
-        for m in shots:
-            std, _ = pauli_out[i]
-            rows.append(("pauli", f"hv_d{a.depth}", m, rel, std))
-            i += 1
-
-    task = 0
+            cells.append(("pauli", f"hv_d{a.depth}", m,
+                          depth_rel[f"d{a.depth}"]))
+            pauli_args.append((a, m, reps, seed))
     vmc_args = []
-    tail = _as_list(config.get("jastrow_tail", list(L10_JASTROW_OPTIMUM[1:])))
-    for lam1 in lam1_grid:
-        lam = (float(lam1),) + tuple(float(v) for v in tail)
-        for m in shots:
-            seed = derive_seed(master_seed, "fig2-vmc", task)
-            seeds[f"vmc/lam1={lam1}/M{m}"] = seed
-            vmc_args.append((lam, L, J, Gamma, m, reps, seed))
-            task += 1
-    vmc_out = _run_tasks(_vmc_cell, vmc_args, threads)
-    i = 0
-    for lam1 in lam1_grid:
-        lam = (float(lam1),) + tuple(float(v) for v in tail)
-        a = JastrowAnsatz(L, lam)
+    for lam1 in cfg["lam1_grid"]:
+        a = JastrowAnsatz(L, (lam1,) + tuple(cfg["jastrow_tail"]))
         e_var = rayleigh_quotient(a, model)
-        rel = abs(e_var - e0) / abs(e0)
         for m in shots:
-            std, _ = vmc_out[i]
-            rows.append(("vmc", f"jastrow_lam1={format_cell(lam1)}", m, rel,
-                         std))
-            i += 1
+            seed = derive_seed(master_seed, "fig2-vmc", len(vmc_args))
+            seeds[f"vmc/lam1={lam1}/M{m}"] = seed
+            cells.append(("vmc", f"jastrow_lam1={format_cell(lam1)}", m,
+                          abs(e_var - e0) / abs(e0)))
+            vmc_args.append((a, model, m, reps, seed))
+    spreads = (_run_tasks(_pauli_cell, pauli_args, threads)
+               + _run_tasks(_vmc_cell, vmc_args, threads))
+    rows = [cell + (std,) for cell, std in zip(cells, spreads)]
 
     # zero-variance diagnostic: the exact eigenvector as a table ansatz
     exact_a = AmplitudeTableAnsatz(L, v0.amplitudes.real)
@@ -303,23 +386,11 @@ def fig2_experiment(config: dict, out_dir: Path, master_seed: int,
                                   np.random.default_rng(seed))
         rows.append(("vmc", "exact_eigenvector", m,
                      abs(est.mean - e0) / abs(e0), est.stderr))
-
-    csv_path = out_dir / "fig2.csv"
-    write_csv(csv_path, ("estimator", "ansatz", "M", "relative_error", "std"),
-              rows)
-    manifest = RunManifest(
-        experiment="fig2", master_seed=master_seed, config=dict(config),
-        derived_seeds=seeds,
-        outputs={"csv": csv_path.name, "E0": e0,
-                 "depth_relative_errors": {
-                     f"d{a.depth}": abs(exact_energy(a, h) - e0) / abs(e0)
-                     for a in ansatze},
-                 "pauli_cost_note": "each Pauli estimate consumes "
-                                    "n_groups * M shots",
-                 "units": {"energy": "J", "J": J, "Gamma": Gamma}},
-        duration_seconds=time.time() - t0)
-    manifest.write(out_dir)
-    return manifest
+    return (("estimator", "ansatz", "M", "relative_error", "std"), rows, seeds,
+            {"csv": "fig2.csv", "E0": e0, "depth_relative_errors": depth_rel,
+             "pauli_cost_note": "each Pauli estimate consumes "
+                                "n_groups * M shots",
+             "units": {"energy": "J", "J": cfg["J"], "Gamma": cfg["Gamma"]}})
 
 
 # ---------------------------------------------------------------------------
@@ -333,228 +404,165 @@ def _instance_for(kind: str, L: int, seed: int) -> ClassicalSpinModel:
                                topology=kind)
 
 
-def gap_sweep(config: dict, out_dir: Path, master_seed: int,
-              threads: int = 1) -> RunManifest:
+@_experiment("gap-sweep", (
+    Param("L_list", int, (4, 6), many=True),
+    Param("beta_list", float, (1.0, 2.0), many=True),
+    _PROPOSALS,
+    Param("instances", int, 5),
+    Param("K", int, 32),
+    Param("steps", int, 4000),
+    Param("ensemble", str, "fully-connected", choices=_ENSEMBLES)))
+def gap_sweep(cfg: dict, master_seed: int, threads: int):
     """Exact kernel gaps plus sampled chain diagnostics over a grid."""
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    l_list = [int(v) for v in _as_list(config.get("L_list", [4, 6]))]
-    betas = [float(v) for v in _as_list(config.get("beta_list", [1.0, 2.0]))]
-    proposals = [str(v).strip() for v in _as_list(
-        config.get("proposals", ["quantum", "single-flip"]))]
-    n_inst = int(config.get("instances", 5))
-    K = int(config.get("K", 32))
-    steps = int(config.get("steps", 4000))
-    kind = str(config.get("ensemble", "fully-connected"))
-
+    kind, proposals = cfg["ensemble"], cfg["proposals"]
     rows = []
     seeds: dict = {}
-    task = 0
-    for L in l_list:
-        for inst in range(n_inst):
-            inst_seed = derive_seed(master_seed, "gap-instance",
-                                    L * 1000 + inst)
-            model = _instance_for(kind, L, inst_seed)
-            cfg = QuantumProposalConfig.for_model(model)
-            matrices = {}
+    for L in cfg["L_list"]:
+        for inst in range(cfg["instances"]):
+            task = L * 1000 + inst
+            model = _instance_for(kind, L, derive_seed(
+                master_seed, "gap-instance", task))
+            qcfg = QuantumProposalConfig.for_model(model)
+            quad_rng = np.random.default_rng(
+                derive_seed(master_seed, "gap-quad", task))
+            matrices = {}  # drop the last instance's matrices first
             for name in proposals:
-                if name == "quantum":
-                    matrices[name] = build_proposal_matrix(
-                        model, cfg, K, np.random.default_rng(
-                            derive_seed(master_seed, "gap-quad",
-                                        L * 1000 + inst)))
-                elif name == "single-flip":
-                    matrices[name] = single_flip_matrix(L)
-                elif name == "uniform":
-                    matrices[name] = uniform_matrix(L)
-                else:
-                    raise ValueError(f"unknown proposal {name!r}")
-            for beta in betas:
+                matrices[name] = (
+                    build_proposal_matrix(model, qcfg, cfg["K"], quad_rng)
+                    if name == "quantum" else _CLASSICAL_MATRICES[name](L))
+            for beta in cfg["beta_list"]:
                 for name in proposals:
                     gap = spectral_gap(assemble_kernel(matrices[name], model,
                                                        beta))
-                    seed = derive_seed(master_seed, "gap-chain", task)
+                    seed = derive_seed(master_seed, "gap-chain", len(rows))
                     seeds[f"L{L}/i{inst}/b{beta}/{name}"] = seed
-                    proposal = cfg if name == "quantum" else name
-                    _, diag = run_chain(model, proposal, beta, steps,
+                    proposal = qcfg if name == "quantum" else name
+                    _, diag = run_chain(model, proposal, beta, cfg["steps"],
                                         np.random.default_rng(seed))
                     rows.append((f"{kind}-{L}-{inst}", L, beta, name,
                                  gap.delta, diag.tau_energy,
                                  diag.acceptance_rate))
-                    task += 1
-    csv_path = out_dir / "gap_sweep.csv"
-    write_csv(csv_path, ("instance_id", "L", "beta", "proposal", "delta",
-                         "tau", "acceptance_rate"), rows)
-    manifest = RunManifest(
-        experiment="gap-sweep", master_seed=master_seed, config=dict(config),
-        derived_seeds=seeds, outputs={"csv": csv_path.name,
-                                      "rows": len(rows)},
-        duration_seconds=time.time() - t0)
-    manifest.write(out_dir)
-    return manifest
+    return (("instance_id", "L", "beta", "proposal", "delta", "tau",
+             "acceptance_rate"), rows, seeds,
+            {"csv": "gap_sweep.csv", "rows": len(rows)})
 
 
 # ---------------------------------------------------------------------------
 # vqe-run: optimize one depth and characterize its shot-noise estimator
 # ---------------------------------------------------------------------------
 
-def vqe_run(config: dict, out_dir: Path, master_seed: int,
-            threads: int = 1) -> RunManifest:
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    L = int(config.get("model.L", 10))
-    J = float(config.get("model.J", 1.0))
-    Gamma = float(config.get("model.Gamma", 1.0))
-    depth = int(config.get("depth", 12))
-    m = int(config.get("shots_per_group", 1000))
-    reps = int(config.get("repetitions", 100))
-    method = str(config.get("optimizer.method", "quasi-newton"))
-    restarts = int(config.get("optimizer.restarts", 4))
-    max_iter = int(config.get("optimizer.max_iter", 40))
-
-    model = TFIMModel(L=L, J=J, Gamma=Gamma)
+@_experiment("vqe-run", _VQE_MODEL + (
+    Param("depth", int, 12),
+    Param("shots_per_group", int, 1000),
+    Param("repetitions", int, 100)) + _OPTIMIZER)
+def vqe_run(cfg: dict, master_seed: int, threads: int):
+    """Optimize one circuit depth, then repeat its shot-noise estimate."""
+    model = TFIMModel(L=cfg["model.L"], J=cfg["model.J"],
+                      Gamma=cfg["model.Gamma"])
     h = model.as_pauli_sum()
     e0, _ = ground_state(h)
-    res = optimize_noiseless(HVAnsatz.zeros(model, depth), method=method,
-                             restarts=restarts,
+    res = optimize_noiseless(HVAnsatz.zeros(model, cfg["depth"]),
+                             method=cfg["optimizer.method"],
+                             restarts=cfg["optimizer.restarts"],
                              rng=task_rng(master_seed, "vqe-opt", 0),
-                             max_iter=max_iter)
+                             max_iter=cfg["optimizer.max_iter"])
     s = prepare(res.ansatz)
     groups = group_qubitwise(h)
-    plan = ShotPlan.uniform(groups.n_groups, m)
+    plan = ShotPlan.uniform(groups.n_groups, cfg["shots_per_group"])
     rows = []
     seeds = {}
-    for rep in range(reps):
+    for rep in range(cfg["repetitions"]):
         seed = derive_seed(master_seed, "vqe-est", rep)
         seeds[f"rep{rep}"] = seed
         est = estimate_energy_pauli(s, h, groups, plan,
                                     np.random.default_rng(seed))
         rows.append((rep, est.mean, est.stderr))
-    csv_path = out_dir / "vqe_run.csv"
-    write_csv(csv_path, ("repetition", "mean", "stderr"), rows)
-    manifest = RunManifest(
-        experiment="vqe-run", master_seed=master_seed, config=dict(config),
-        derived_seeds=seeds,
-        outputs={"csv": csv_path.name, "E0": e0, "E_var": res.energy,
-                 "relative_error": abs(res.energy - e0) / abs(e0),
-                 "converged": res.converged,
-                 "predicted_error": predicted_error(s, h, plan, groups),
-                 "n_groups": groups.n_groups},
-        duration_seconds=time.time() - t0)
-    manifest.write(out_dir)
-    return manifest
+    return (("repetition", "mean", "stderr"), rows, seeds,
+            {"csv": "vqe_run.csv", "E0": e0, "E_var": res.energy,
+             "relative_error": abs(res.energy - e0) / abs(e0),
+             "converged": res.converged,
+             "predicted_error": predicted_error(s, h, plan, groups),
+             "n_groups": groups.n_groups})
 
 
 # ---------------------------------------------------------------------------
 # vmc-run: SR optimization or the ansatz-quality sweep
 # ---------------------------------------------------------------------------
 
-def vmc_run(config: dict, out_dir: Path, master_seed: int,
-            threads: int = 1) -> RunManifest:
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    L = int(config.get("L", 10))
-    J = float(config.get("J", 1.0))
-    Gamma = float(config.get("Gamma", 1.0))
-    mode = str(config.get("mode", "sweep"))
-    model = TFIMModel(L=L, J=J, Gamma=Gamma)
+@_experiment("vmc-run", _TFIM + _JASTROW + (
+    Param("mode", str, "sweep", choices=("sweep", "sr")),
+    Param("samples", int, (100, 1000, 100000), many=True),
+    Param("sr_steps", int, 200),
+    Param("samples_per_step", int, 4096),
+    Param("delta", float, 0.05)))
+def vmc_run(cfg: dict, master_seed: int, threads: int):
+    """SR from lam = 0 (``mode = sr``) or the ansatz-quality sweep."""
+    L = cfg["L"]
+    model = TFIMModel(L=L, J=cfg["J"], Gamma=cfg["Gamma"])
     e0, _ = ground_state(model.as_pauli_sum())
     seeds: dict = {}
-    outputs: dict = {"E0": e0}
-    if mode == "sr":
-        n_steps = int(config.get("sr_steps", 200))
-        samples = int(config.get("samples_per_step", 4096))
-        delta = float(config.get("delta", 0.05))
+    if cfg["mode"] == "sr":
         seed = derive_seed(master_seed, "vmc-sr", 0)
         seeds["sr"] = seed
-        run = run_sr_optimization(model, n_steps=n_steps,
-                                  samples_per_step=samples, delta=delta,
+        run = run_sr_optimization(model, n_steps=cfg["sr_steps"],
+                                  samples_per_step=cfg["samples_per_step"],
+                                  delta=cfg["delta"],
                                   rng=np.random.default_rng(seed))
-        rows = [(i, run.energies[i], abs(run.energies[i] - e0) / abs(e0))
-                for i in range(n_steps)]
-        csv_path = out_dir / "vmc_sr.csv"
-        write_csv(csv_path, ("step", "energy", "relative_error"), rows)
+        rows = [(i, e, abs(e - e0) / abs(e0))
+                for i, e in enumerate(run.energies)]
         e_fin = rayleigh_quotient(run.ansatz, model)
-        outputs.update({"csv": csv_path.name,
-                        "final_lam": list(run.ansatz.lam),
-                        "final_energy": e_fin,
-                        "final_relative_error": abs(e_fin - e0) / abs(e0)})
-    elif mode == "sweep":
-        m_list = [int(v) for v in _as_list(config.get("samples",
-                                                      [100, 1000, 100000]))]
-        lam1_grid = [float(v) for v in _as_list(config.get("lam1_grid",
-                                                           list(LAM1_GRID)))]
-        tail = tuple(float(v) for v in _as_list(
-            config.get("jastrow_tail", list(L10_JASTROW_OPTIMUM[1:]))))
-        rows = []
-        task = 0
-        for lam1 in lam1_grid:
-            a = JastrowAnsatz(L, (lam1,) + tail)
-            rel = abs(rayleigh_quotient(a, model) - e0) / abs(e0)
-            for m in m_list:
-                seed = derive_seed(master_seed, "vmc-sweep", task)
-                seeds[f"lam1={lam1}/M{m}"] = seed
-                est = estimate_energy_vmc(a, model, m,
-                                          np.random.default_rng(seed))
-                rows.append((lam1, rel, est.stderr, m))
-                task += 1
-        csv_path = out_dir / "vmc_sweep.csv"
-        write_csv(csv_path, ("lam1", "relative_error", "stderr", "M_vmc"),
-                  rows)
-        outputs["csv"] = csv_path.name
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    manifest = RunManifest(
-        experiment="vmc-run", master_seed=master_seed, config=dict(config),
-        derived_seeds=seeds, outputs=outputs,
-        duration_seconds=time.time() - t0)
-    manifest.write(out_dir)
-    return manifest
+        return (("step", "energy", "relative_error"), rows, seeds,
+                {"csv": "vmc_sr.csv", "E0": e0,
+                 "final_lam": list(run.ansatz.lam), "final_energy": e_fin,
+                 "final_relative_error": abs(e_fin - e0) / abs(e0)})
+    rows = []
+    for lam1 in cfg["lam1_grid"]:
+        a = JastrowAnsatz(L, (lam1,) + tuple(cfg["jastrow_tail"]))
+        rel = abs(rayleigh_quotient(a, model) - e0) / abs(e0)
+        for m in cfg["samples"]:
+            seed = derive_seed(master_seed, "vmc-sweep", len(rows))
+            seeds[f"lam1={lam1}/M{m}"] = seed
+            est = estimate_energy_vmc(a, model, m,
+                                      np.random.default_rng(seed))
+            rows.append((lam1, rel, est.stderr, m))
+    return (("lam1", "relative_error", "stderr", "M_vmc"), rows, seeds,
+            {"csv": "vmc_sweep.csv", "E0": e0})
 
 
 # ---------------------------------------------------------------------------
 # qemcmc-run: sampled chains on one model
 # ---------------------------------------------------------------------------
 
-def qemcmc_run(config: dict, out_dir: Path, master_seed: int,
-               threads: int = 1) -> RunManifest:
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    beta = float(config.get("beta", 2.0))
-    steps = int(config.get("steps", 20000))
-    n_chains = int(config.get("chains", 4))
-    proposals = [str(v).strip() for v in _as_list(
-        config.get("proposals", ["quantum", "single-flip"]))]
-    if "instance" in config:
-        model = load_instance(config["instance"])
-    else:
-        L = int(config.get("L", 6))
-        kind = str(config.get("ensemble", "ferromagnet"))
-        model = _instance_for(kind, L,
+@_experiment("qemcmc-run", (
+    Param("L", int, 6),
+    Param("ensemble", str, "ferromagnet", choices=_ENSEMBLES),
+    Param("instance", str, None),
+    Param("beta", float, 2.0),
+    Param("steps", int, 20000),
+    Param("chains", int, 4),
+    _PROPOSALS))
+def qemcmc_run(cfg: dict, master_seed: int, threads: int):
+    """Sampled chains of each proposal on one generated or loaded model."""
+    if cfg["instance"] is None:
+        model = _instance_for(cfg["ensemble"], cfg["L"],
                               derive_seed(master_seed, "qemcmc-inst", 0))
-    cfg = QuantumProposalConfig.for_model(model)
+    else:
+        model = load_instance(cfg["instance"])
+    qcfg = QuantumProposalConfig.for_model(model)
     v = energy_table(model)
     rows = []
     seeds = {}
-    for i, name in enumerate(proposals):
+    for i, name in enumerate(cfg["proposals"]):
         seed = derive_seed(master_seed, "qemcmc-chain", i)
         seeds[name] = seed
-        proposal = cfg if name == "quantum" else name
-        rec, diag = run_chain(model, proposal, beta, steps,
+        proposal = qcfg if name == "quantum" else name
+        rec, diag = run_chain(model, proposal, cfg["beta"], cfg["steps"],
                               np.random.default_rng(seed),
-                              n_chains=n_chains)
+                              n_chains=cfg["chains"])
         mean_e = float(v[rec].mean())
         rows.append((name, diag.acceptance_rate, diag.tau_energy, mean_e))
-    csv_path = out_dir / "qemcmc_run.csv"
-    write_csv(csv_path, ("proposal", "acceptance_rate", "tau_energy",
-                         "mean_energy"), rows)
-    manifest = RunManifest(
-        experiment="qemcmc-run", master_seed=master_seed,
-        config=dict(config), derived_seeds=seeds,
-        outputs={"csv": csv_path.name, "beta": beta},
-        duration_seconds=time.time() - t0)
-    manifest.write(out_dir)
-    return manifest
+    return (("proposal", "acceptance_rate", "tau_energy", "mean_energy"),
+            rows, seeds, {"csv": "qemcmc_run.csv", "beta": cfg["beta"]})
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,17 @@ in the acceptance suite.  Determinism checks compare raw CSV bytes.
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinlab import cli
+from spinlab import cli, harness
 from spinlab.harness import (
+    PARAMS,
     RunManifest,
     derive_seed,
     fig2_experiment,
@@ -22,6 +27,7 @@ from spinlab.harness import (
     load_config,
     parse_config_text,
     qemcmc_run,
+    resolve_config,
     task_rng,
     vmc_run,
     vqe_run,
@@ -92,6 +98,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config_text(" = 3\n")
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        with pytest.raises(ValueError, match=r"line 3: key 'L' already set "
+                                             r"on line 1"):
+            parse_config_text("L = 4\nsteps = 10\nL = 6\n")
+
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("L = 6\nbeta_list = 1.0, 2.0\n")
@@ -125,6 +136,127 @@ class TestCsvPlumbing:
         assert doc["csv_schema_version"] == "1"
         # keys are sorted so the file itself is byte-stable
         assert list(doc) == sorted(doc)
+
+
+class TestResolveConfig:
+    def test_defaults_fill_every_key(self):
+        for name, params in PARAMS.items():
+            cfg = resolve_config(name, {})
+            assert list(cfg) == [p.key for p in params]
+
+    def test_integral_float_and_scalar_list(self):
+        cfg = resolve_config("qemcmc-run", parse_config_text(
+            "steps = 1e4\nbeta = 3\nproposals = uniform\n"))
+        assert cfg["steps"] == 10000 and isinstance(cfg["steps"], int)
+        assert cfg["beta"] == 3.0 and isinstance(cfg["beta"], float)
+        assert cfg["proposals"] == ["uniform"]
+
+    @pytest.mark.parametrize("experiment,text,key", [
+        ("qemcmc-run", "L = true", "L"),
+        ("qemcmc-run", "L = 4.5", "L"),
+        ("qemcmc-run", "L = 4, 6", "L"),
+        ("fig2", "shots = 100, 1000,", "shots"),
+        ("qemcmc-run", "steps = ten", "steps"),
+        ("qemcmc-run", "beta = true", "beta"),
+        ("qemcmc-run", "beta = 1" + "0" * 400, "beta"),
+        ("qemcmc-run", "beta = nan", "beta"),
+        ("vmc-run", "mode = ", "mode"),
+        ("qemcmc-run", "instance = ", "instance"),
+        ("gap-sweep", "L_list = 4, 4", "L_list"),
+        ("vqe-run", "optimizer.method = 3", "optimizer.method"),
+    ], ids=["bool-int", "fractional-int", "list-for-scalar", "empty-item",
+            "word-int", "bool-float", "float-overflow", "nan-float",
+            "empty-choice", "empty-str", "repeated-item", "int-for-str"])
+    def test_bad_value_names_key(self, experiment, text, key):
+        with pytest.raises(ValueError, match=f"config key {key!r}"):
+            resolve_config(experiment, parse_config_text(text))
+
+    def test_unknown_key_suggests_closest(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"'stepz'.*did you mean "
+                                             r"'steps'"):
+            qemcmc_run({"stepz": 10}, out, 0)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,config,key", [
+        ("vmc-run", {"mode": "annealing"}, "mode"),
+        ("qemcmc-run", {"proposals": ["quantum", "single_flip"]},
+         "proposals"),
+        ("qemcmc-run", {"proposals": ["quantum", "quantum"]}, "proposals"),
+        ("gap-sweep", {"ensemble": "glass"}, "ensemble"),
+        ("qemcmc-run", {"ensemble": "glass"}, "ensemble"),
+    ], ids=["mode", "proposal-name", "proposal-repeated", "gap-ensemble",
+            "qemcmc-ensemble"])
+    def test_choice_checked_before_any_work(self, experiment, config, key,
+                                            tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("experiment work ran before the check")
+
+        for name in ("ground_state", "run_chain", "build_proposal_matrix",
+                     "spin_glass_instance", "ferromagnetic_chain"):
+            monkeypatch.setattr(harness, name, no_work)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"config key {key!r}"):
+            harness.EXPERIMENTS[experiment](dict(config), out, 0)
+        assert not out.exists()
+
+    def test_manifest_records_resolved_config(self, tmp_path):
+        man = qemcmc_run({"L": 4, "steps": 1e2, "chains": 2,
+                          "proposals": "single-flip"}, tmp_path, 0)
+        doc = json.loads((tmp_path / "qemcmc-run_manifest.json").read_text())
+        assert doc["config"] == man.config == {
+            "L": 4, "ensemble": "ferromagnet", "instance": None,
+            "beta": 2.0, "steps": 100, "chains": 2,
+            "proposals": ["single-flip"]}
+
+
+_KEYS = sorted({p.key for params in PARAMS.values() for p in params})
+_VALUE = st.one_of(
+    st.sampled_from(["4", "6", "1e4", "4.5", "-3", "0", "true", "ten", "",
+                     "nan", "inf", "1" + "0" * 400, "quantum", "single-flip",
+                     "uniform", "sr", "sweep", "ferromagnet", "chain"]),
+    st.text(max_size=6))
+_LINE = st.one_of(
+    st.builds(lambda key, values: f"{key} = {', '.join(values)}",
+              st.one_of(st.sampled_from(_KEYS), st.text(max_size=8)),
+              st.lists(_VALUE, min_size=1, max_size=3)),
+    st.text(max_size=20))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.lists(_LINE, max_size=6).map("\n".join),
+       experiment=st.sampled_from(sorted(PARAMS)))
+def test_config_path_rejects_only_with_named_value_errors(text, experiment):
+    """parse_config_text plus the resolver either succeed or raise a
+    ValueError naming the offending line or key; nothing else escapes."""
+    try:
+        cfg = parse_config_text(text)
+    except ValueError as exc:
+        assert re.search(r"config line \d+", str(exc)), exc
+        return
+    try:
+        resolved = resolve_config(experiment, cfg)
+    except ValueError as exc:
+        assert any(repr(key) in str(exc) for key in cfg), exc
+        return
+    assert list(resolved) == [p.key for p in PARAMS[experiment]]
+
+
+def _readme_ini_blocks():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+
+
+def test_readme_blocks_document_every_key_with_its_default():
+    blocks = {re.match(r"# ([\w-]+) ", b).group(1): b
+              for b in _readme_ini_blocks()}
+    assert sorted(blocks) == sorted(PARAMS)
+    for name, block in blocks.items():
+        assert resolve_config(name, parse_config_text(block)) == \
+            resolve_config(name, {}), name
+        for p in PARAMS[name]:
+            assert re.search(rf"^#? *{re.escape(p.key)} =", block, re.M), \
+                (name, p.key)
 
 
 class TestFig2Experiment:
@@ -315,6 +447,13 @@ class TestCli:
         assert rc == 0
         assert dst.exists()
         assert "terms" in capsys.readouterr().out
+
+    def test_experiment_table_names_the_public_entry_points(self):
+        assert cli.EXPERIMENTS == {
+            "fig2": fig2_experiment, "gap-sweep": gap_sweep,
+            "vqe-run": vqe_run, "vmc-run": vmc_run,
+            "qemcmc-run": qemcmc_run}
+        assert list(cli.EXPERIMENTS) == list(PARAMS)
 
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
