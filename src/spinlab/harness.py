@@ -25,8 +25,8 @@ from . import __version__
 from .pauli import (fermion_hamiltonian_from_json, group_qubitwise, one_norm,
                     pauli_sum_to_json)
 from .statevector import TFIMModel, ground_state
-from .vqe import (HVAnsatz, ShotPlan, estimate_energy_pauli, exact_energy,
-                  optimize_noiseless, predicted_error, prepare)
+from .vqe import (METHOD_ALIASES, HVAnsatz, ShotPlan, estimate_energy_pauli,
+                  exact_energy, optimize_noiseless, predicted_error, prepare)
 from .vmc import (AmplitudeTableAnsatz, JastrowAnsatz, estimate_energy_vmc,
                   estimate_energy_vmc_batch, rayleigh_quotient,
                   run_sr_optimization)
@@ -107,14 +107,17 @@ def load_config(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 class Param(NamedTuple):
-    """One config key: its type, its default, whether it takes a list of
-    distinct values (each names derived seeds in the manifest), and the
-    values it allows, if only some are."""
+    """One config key: its type, its default, whether it takes a list, and
+    the values it allows, if only some are.  A list's values must be
+    distinct, because each names derived seeds in the manifest, unless
+    ``distinct`` is off; ``anycase`` matches the choices ignoring case."""
     key: str
     kind: type
     default: object
     many: bool = False
     choices: tuple = ()
+    distinct: bool = True
+    anycase: bool = False
 
 
 # What each declared type accepts before the cast; bools are always refused.
@@ -146,10 +149,10 @@ def _resolve_value(p: Param, value):
             raise ValueError(f"config key {p.key!r}: expected "
                              f"{p.kind.__name__}, got {v!r}")
         v = p.kind(v)
-        if p.choices and v not in p.choices:
+        if p.choices and (v.lower() if p.anycase else v) not in p.choices:
             raise ValueError(f"config key {p.key!r}: unknown value {v!r}; "
                              f"{_hint(v, p.choices)}")
-        if v in out:
+        if p.distinct and v in out:
             raise ValueError(f"config key {p.key!r}: {v!r} is given twice")
         out.append(v)
     return out if p.many else out[0]
@@ -157,15 +160,19 @@ def _resolve_value(p: Param, value):
 
 def resolve_config(experiment: str, config: dict) -> dict:
     """Every key of the experiment's table with its typed value or default;
-    an unknown key or a bad value raises a ValueError that names the key."""
+    an unknown key, a bad value or values that do not fit together raise a
+    ValueError that names the key."""
     params = {p.key: p for p in PARAMS[experiment]}
     for key in config:
         if key not in params:
             raise ValueError(f"unknown config key {key!r} for {experiment}; "
                              f"{_hint(str(key), list(params))}")
-    return {key: _resolve_value(p, config[key]) if key in config
-            else list(p.default) if p.many else p.default
-            for key, p in params.items()}
+    cfg = {key: _resolve_value(p, config[key]) if key in config
+           else list(p.default) if p.many else p.default
+           for key, p in params.items()}
+    if "jastrow_tail" in cfg:
+        _check_jastrow(cfg)
+    return cfg
 
 
 _ENSEMBLES = ("ferromagnet", "fully-connected", "chain")
@@ -177,11 +184,26 @@ _CLASSICAL_MATRICES = {"single-flip": single_flip_matrix,
 _TFIM = (Param("L", int, 10), Param("J", float, 1.0),
          Param("Gamma", float, 1.0))
 _VQE_MODEL = tuple(p._replace(key="model." + p.key) for p in _TFIM)
-_OPTIMIZER = (Param("optimizer.method", str, "quasi-newton"),
+_OPTIMIZER = (Param("optimizer.method", str, "quasi-newton",
+                    choices=tuple(METHOD_ALIASES), anycase=True),
               Param("optimizer.restarts", int, 4),
               Param("optimizer.max_iter", int, 40))
 _JASTROW = (Param("lam1_grid", float, LAM1_GRID, many=True),
-            Param("jastrow_tail", float, L10_JASTROW_OPTIMUM[1:], many=True))
+            Param("jastrow_tail", float, L10_JASTROW_OPTIMUM[1:], many=True,
+                  distinct=False))
+
+
+def _check_jastrow(cfg: dict) -> None:
+    """The pair ansatz needs an even L, and the ansatz-quality sweep needs
+    L/2 - 1 tail couplings after the swept first one (SR mode uses none)."""
+    L, tail = cfg["L"], cfg["jastrow_tail"]
+    if L < 2 or L % 2:
+        raise ValueError(f"config key 'L': the Jastrow ansatz needs an even "
+                         f"L >= 2, got {L}")
+    if cfg.get("mode", "sweep") == "sweep" and len(tail) != L // 2 - 1:
+        raise ValueError(f"config key 'jastrow_tail' needs L/2 - 1 = "
+                         f"{L // 2 - 1} values for 'L' = {L}, got {len(tail)}")
+
 
 # Each experiment's table and entry point, filled in by ``_experiment``.
 PARAMS: dict[str, tuple[Param, ...]] = {}

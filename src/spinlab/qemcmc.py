@@ -7,14 +7,21 @@ the computational basis, the marginal proposal matrix is symmetric and the
 plain Metropolis acceptance makes sampling exact for any proposal quality.
 Exact spectral diagnostics and classical baselines live here too.
 
-The exact proposal evolves only the chains' start columns of exp(-iHt).  Up
-to L = 8 sites it diagonalises the dense 2^L x 2^L Hamiltonian with eigh;
-from L = 9 (CHEBYSHEV_MIN_QUBITS) it sums the Chebyshev series of
-Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984), with sparse products
-only.  Both agree to about 1e-13.  The crossover is where the O(8^L) eigh
-falls behind the O(L 2^L) per-term cost of the series: with 4 chains and
-one BLAS thread on a 2-core x86-64 host the series is 1.3x faster at L = 8
-(too thin a margin to switch), 4x at L = 9 and 14x at L = 10.
+The exact proposal evolves only the chains' start columns of exp(-iHt), by
+one of three propagators that agree to about 1e-13:
+
+- from L = 9 (CHEBYSHEV_MIN_QUBITS), the Chebyshev series of Tal-Ezer &
+  Kosloff, J. Chem. Phys. 81, 3967 (1984), with sparse products only;
+- below that, when V(x) = V(~x) (zero fields, as in every built-in
+  instance), two eigh of size 2^(L-1), one per sector of the global flip
+  (the symmetry-adapted basis of exact diagonalisation, Sandvik, AIP Conf.
+  Proc. 1297, 135 (2010));
+- otherwise one dense 2^L x 2^L eigh.
+
+The crossover is where the O(8^L) eigh falls behind the O(L 2^L) per-term
+cost of the series.  Milliseconds per step, dense / sector / series, 1 and
+4 chains, one BLAS thread on a 2-core x86-64 host: L = 7, 2.3 / 1.3 / 5.1;
+L = 8, 11-12 / 4.4-5.4 / 5.5-9.0; L = 9, 55-58 / 19-20 / 5.0-9.4.
 """
 
 from __future__ import annotations
@@ -59,6 +66,9 @@ class ClassicalSpinModel:
             raise ValueError(f"couplings must be {self.L}x{self.L}")
         if h.shape != (self.L,):
             raise ValueError(f"fields must have length {self.L}")
+        for name, a in (("couplings", j), ("fields", h)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(j, j.T, atol=1e-12):
             raise ValueError("couplings must be symmetric")
         if np.any(np.abs(np.diag(j)) > 1e-12):
@@ -129,10 +139,36 @@ def load_instance(path) -> ClassicalSpinModel:
     if missing:
         raise ValueError(f"instance file {path} lacks field(s) "
                          f"{', '.join(missing)}")
-    return ClassicalSpinModel(L=int(d["L"]),
-                              couplings=np.array(d["couplings"], dtype=float),
-                              fields=np.array(d["fields"], dtype=float),
-                              topology=d.get("topology", "custom"))
+    L = d["L"]
+    if isinstance(L, bool) or not isinstance(L, int) or L < 1:
+        raise ValueError(f"instance field 'L' must be a positive integer, "
+                         f"got {L!r}")
+    topology = d.get("topology", "custom")
+    if not isinstance(topology, str):
+        raise ValueError(f"instance field 'topology' must be a string, "
+                         f"got {topology!r}")
+    return ClassicalSpinModel(L=L,
+                              couplings=_number_array(d, "couplings", (L, L)),
+                              fields=_number_array(d, "fields", (L,)),
+                              topology=topology)
+
+
+def _number_array(d: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """d[key] as a float array of the given shape; anything but nested JSON
+    lists of numbers raises a ValueError that names the field."""
+    def cells(value, dims):
+        if not dims:
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                return [value]
+        elif isinstance(value, list) and len(value) == dims[0]:
+            return [c for item in value for c in cells(item, dims[1:])]
+        raise ValueError(f"instance field {key!r} must be a {shape} array "
+                         f"of numbers")
+
+    try:
+        return np.array(cells(d[key], shape), dtype=float).reshape(shape)
+    except OverflowError:
+        raise ValueError(f"instance field {key!r} must be finite") from None
 
 
 def energy(model: ClassicalSpinModel, x: SpinConfiguration) -> float:
@@ -224,6 +260,37 @@ def _evolved_columns(v_table: np.ndarray, gamma: float, t: float,
     return vecs @ (phases[:, None] * vecs[start, :].T)
 
 
+def _sector_columns(v_table: np.ndarray, gamma: float, t: float,
+                    start: np.ndarray) -> np.ndarray:
+    """_evolved_columns for a flip-symmetric V, by one eigh per flip sector.
+
+    With V(x) = V(~x), H commutes with the global flip and splits on
+    |r,+-> = (|r> +- |~r>)/sqrt2, r < half, into the real blocks
+    diag(V[:half]) + gamma sum_{k<L-1} X_k +- gamma X_all, where X_all
+    maps r to r ^ (half - 1) (the top-bit flip seen from the sector).
+    """
+    L = v_table.size.bit_length() - 1
+    dim = v_table.size
+    half = dim // 2
+    base = np.diag(v_table[:half]) + gamma * _x_sum_matrix(L - 1)
+    blocks = np.stack([base, base])
+    r = np.arange(half)
+    blocks[0, r, r ^ (half - 1)] += gamma
+    blocks[1, r, r ^ (half - 1)] -= gamma
+    vals, vecs = np.linalg.eigh(blocks)
+    phases = np.exp(-1j * vals * t)
+    # |x> = (|r,+> +- |r,->)/sqrt2, with - when x is the flip ~r of r < half
+    upper = start >= half
+    rep = np.where(upper, start ^ (dim - 1), start)
+    ab = vecs @ (phases[:, :, None] * vecs[:, rep, :].transpose(0, 2, 1))
+    a, b = ab[0], np.where(upper, -ab[1], ab[1])
+    out = np.empty((dim, start.size), dtype=complex)
+    out[:half] = (a + b) / 2
+    # row dim-1-r holds ~r
+    out[half:] = ((a - b) / 2)[::-1]
+    return out
+
+
 def _chebyshev_columns(v_table: np.ndarray, gamma: float, t: float,
                        start: np.ndarray) -> np.ndarray:
     """exp(-i H t)|x_c> for each start index by a Chebyshev series.
@@ -311,8 +378,13 @@ def _quantum_step(v_table: np.ndarray, cfg: QuantumProposalConfig,
         if L > MAX_EXACT_QUBITS:
             raise CapacityError(
                 f"exact proposal capped at {MAX_EXACT_QUBITS} sites")
-        evolve = (_chebyshev_columns if L >= CHEBYSHEV_MIN_QUBITS
-                  else _evolved_columns)
+        if L >= CHEBYSHEV_MIN_QUBITS:
+            evolve = _chebyshev_columns
+        elif np.array_equal(v_table, v_table[::-1]):
+            # index dim-1-x is ~x: V is flip-symmetric (zero fields)
+            evolve = _sector_columns
+        else:
+            evolve = _evolved_columns
         cols = evolve(v_table, g, t, idx)
     else:
         if L > MAX_TROTTER_QUBITS:

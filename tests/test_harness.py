@@ -185,8 +185,15 @@ class TestResolveConfig:
         ("qemcmc-run", {"proposals": ["quantum", "quantum"]}, "proposals"),
         ("gap-sweep", {"ensemble": "glass"}, "ensemble"),
         ("qemcmc-run", {"ensemble": "glass"}, "ensemble"),
+        ("vqe-run", {"model.L": 4, "optimizer.method": "adam"},
+         "optimizer.method"),
+        ("fig2", {"optimizer.method": "adam"}, "optimizer.method"),
+        ("vmc-run", {"L": 4, "mode": "sweep"}, "jastrow_tail"),
+        ("fig2", {"L": 6, "jastrow_tail": [0.05]}, "jastrow_tail"),
+        ("vmc-run", {"L": 5, "mode": "sr"}, "L"),
     ], ids=["mode", "proposal-name", "proposal-repeated", "gap-ensemble",
-            "qemcmc-ensemble"])
+            "qemcmc-ensemble", "vqe-method", "fig2-method",
+            "vmc-tail-length", "fig2-tail-length", "vmc-odd-L"])
     def test_choice_checked_before_any_work(self, experiment, config, key,
                                             tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
@@ -199,6 +206,14 @@ class TestResolveConfig:
         with pytest.raises(ValueError, match=f"config key {key!r}"):
             harness.EXPERIMENTS[experiment](dict(config), out, 0)
         assert not out.exists()
+
+    def test_tail_repeats_and_method_case_are_kept(self):
+        cfg = resolve_config("vmc-run", {"L": 6, "jastrow_tail": [0.03, 0.03]})
+        assert cfg["jastrow_tail"] == [0.03, 0.03]
+        # SR mode does not use the tail, so the L = 10 default may stay
+        assert resolve_config("vmc-run", {"L": 4, "mode": "sr"})["L"] == 4
+        cfg = resolve_config("vqe-run", {"optimizer.method": "BFGS"})
+        assert cfg["optimizer.method"] == "BFGS"
 
     def test_manifest_records_resolved_config(self, tmp_path):
         man = qemcmc_run({"L": 4, "steps": 1e2, "chains": 2,

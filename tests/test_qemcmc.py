@@ -7,13 +7,17 @@ identities and get tight thresholds.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
+from spinlab import qemcmc
 from spinlab.qemcmc import (
     CHEBYSHEV_MIN_QUBITS,
     ChainDiagnostics,
@@ -22,6 +26,8 @@ from spinlab.qemcmc import (
     TransitionMatrix,
     _chebyshev_columns,
     _evolved_columns,
+    _quantum_step,
+    _sector_columns,
     _trotter_columns,
     accept,
     assemble_kernel,
@@ -141,9 +147,82 @@ class TestClassicalSpinModel:
         with pytest.raises(ValueError, match="JSON object"):
             load_instance(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("L", 2.7), ("L", None), ("L", "abc"), ("L", True), ("L", 0),
+        ("couplings", [[0, "abc"], ["abc", 0]]),
+        ("couplings", [[0, 1], [1]]),
+        ("couplings", [[0, float("nan")], [float("nan"), 0]]),
+        ("couplings", [[0, 10 ** 400], [10 ** 400, 0]]),
+        ("fields", [float("inf"), 0]),
+        ("fields", [True, 0]),
+        ("topology", 3),
+    ], ids=["fractional-L", "null-L", "word-L", "bool-L", "zero-L",
+            "string-coupling", "ragged-couplings", "nan-coupling",
+            "overflow-coupling", "infinite-field", "bool-field",
+            "number-topology"])
+    def test_load_instance_names_bad_field(self, tmp_path, field, value):
+        payload = {"L": 2, "couplings": [[0, 1], [1, 0]], "fields": [0, 0]}
+        payload[field] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            load_instance(path)
+
     def test_mean_abs_coupling_ferromagnet(self):
         m = ferromagnetic_chain(6, J=0.5)
         assert m.mean_abs_coupling() == pytest.approx(0.5)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=12)
+_ODD_CELL = st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                             10 ** 400, True, None, "1", [1.0]])
+
+
+@st.composite
+def _instance_docs(draw):
+    """Well-formed instances with at most one defect: an odd cell, an
+    asymmetric coupling, or one field replaced by arbitrary JSON."""
+    L = draw(st.integers(1, 3))
+    j = [[0.0] * L for _ in range(L)]
+    for a in range(L):
+        for b in range(a):
+            j[a][b] = j[b][a] = draw(st.floats(-3, 3))
+    doc = {"L": L, "couplings": j,
+           "fields": draw(st.lists(st.floats(-3, 3), min_size=L,
+                                   max_size=L))}
+    defect = draw(st.sampled_from([None, "cell", "asymmetric", "L",
+                                   "couplings", "fields", "topology"]))
+    if defect == "cell":
+        row = draw(st.sampled_from([doc["fields"]] + j))
+        row[draw(st.integers(0, L - 1))] = draw(_ODD_CELL)
+    elif defect == "asymmetric":
+        j[0][L - 1] += 1.0
+    elif defect is not None:
+        doc[defect] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.one_of(_JSON, _instance_docs()))
+def test_load_instance_rejects_only_with_named_value_errors(tmp_path, doc):
+    """Any JSON document either loads as a finite model or raises a
+    ValueError that names the offending field; nothing else escapes."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    try:
+        m = load_instance(path)
+    except ValueError as exc:
+        assert re.search(r"\b(L|couplings|fields|topology)\b|JSON object",
+                         str(exc)), exc
+        return
+    assert m.couplings.shape == (m.L, m.L) and m.fields.shape == (m.L,)
+    assert np.all(np.isfinite(m.couplings)) and np.all(np.isfinite(m.fields))
 
 
 class TestEnergy:
@@ -341,22 +420,79 @@ class TestChebyshevPropagator:
         expected[12] = np.exp(-1j * 1.5 * 4.0)
         assert np.allclose(col[:, 0], expected, atol=1e-15)
 
-    @pytest.mark.parametrize("L,dense_calls", [(CHEBYSHEV_MIN_QUBITS - 1, 3),
-                                               (10, 0)])
+    @pytest.mark.parametrize("L,full_calls", [(CHEBYSHEV_MIN_QUBITS - 1, 3),
+                                              (10, 0)])
     def test_dense_eigh_only_below_crossover(self, monkeypatch, L,
-                                             dense_calls):
-        calls = []
+                                             full_calls):
+        # zero fields take the two half-size sector eigh, nonzero fields
+        # the full one; from the crossover up neither runs
+        shapes = []
         eigh = np.linalg.eigh
 
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(a.shape)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         m = spin_glass_instance(L, np.random.default_rng(44))
         run_chain(m, QuantumProposalConfig.for_model(m), 1.0, 3,
                   np.random.default_rng(45), n_chains=2)
-        assert len(calls) == dense_calls
+        half = 2 ** (L - 1)
+        assert all(s[-2:] == (half, half) for s in shapes)
+        assert bool(shapes) == (L < CHEBYSHEV_MIN_QUBITS)
+        shapes.clear()
+        fielded = ClassicalSpinModel(L, m.couplings, np.full(L, 0.3))
+        run_chain(fielded, QuantumProposalConfig.for_model(fielded), 1.0, 3,
+                  np.random.default_rng(45), n_chains=2)
+        assert shapes == [(2 ** L, 2 ** L)] * full_calls
+
+
+class TestFlipSectorPropagator:
+    """The two half-size blocks the exact proposal takes below the
+    crossover when V(x) = V(~x), as for every zero-field instance."""
+
+    @pytest.mark.parametrize("L", range(1, CHEBYSHEV_MIN_QUBITS))
+    @pytest.mark.parametrize("kind", ["glass", "ferromagnet"])
+    def test_matches_dense_eigh(self, L, kind):
+        m = (spin_glass_instance(L, np.random.default_rng(60 + L))
+             if kind == "glass" else ferromagnetic_chain(L, J=0.7))
+        v = energy_table(m)
+        dim = 2 ** L
+        x = 5 % dim
+        # both flip parities: x and ~x, 0 and dim-1
+        start = np.array([0, dim - 1, x, (dim - 1) ^ x])
+        for g in QuantumProposalConfig.for_model(m).gamma_range:
+            for t in (2.0, 20.0):
+                sector = _sector_columns(v, g, t, start)
+                dense = _evolved_columns(v, g, t, start)
+                assert np.max(np.abs(sector - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("L,n_chains,steps,mix", [
+        (6, 1, 150, 0.0), (6, 4, 150, 0.3), (8, 1, 80, 0.0),
+        (8, 4, 80, 0.0)])
+    def test_proposals_equal_dense_path(self, monkeypatch, L, n_chains, steps,
+                                        mix):
+        m = spin_glass_instance(L, np.random.default_rng(70 + L))
+        cfg = QuantumProposalConfig(
+            QuantumProposalConfig.for_model(m).gamma_range,
+            mix_single_flip=mix)
+        v = energy_table(m)
+
+        def walk():
+            rng = np.random.default_rng(71)
+            idx = rng.integers(0, 2 ** L, size=n_chains)
+            out = []
+            for _ in range(steps):
+                idx = _quantum_step(v, cfg, idx, rng)
+                out.append(idx)
+            return np.array(out)
+
+        sector = walk()
+        monkeypatch.setattr(qemcmc, "_sector_columns", _evolved_columns)
+        dense = walk()
+        assert np.array_equal(sector, dense)
+        # the walk crosses between the two halves of the index range
+        assert np.any(sector < 2 ** (L - 1)) and np.any(sector >= 2 ** (L - 1))
 
 
 class TestAccept:
