@@ -360,18 +360,28 @@ def pauli_sum_to_json(h: PauliSum) -> str:
 
 
 def pauli_sum_from_json(text: str) -> PauliSum:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    try:
-        n = int(doc["n_qubits"])
-        terms = [(complex(t["coeff"][0], t["coeff"][1]),
-                  PauliString.from_label(t["string"]))
-                 for t in doc["terms"]]
-        return PauliSum.from_terms(n, terms)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
+    doc = _json_object(text, ("n_qubits", "terms"))
+    n = _positive_int(doc, "n_qubits")
+    if not isinstance(doc["terms"], list):
+        raise ParseError("field 'terms' must be a list")
+    terms, bound = [], 0.0
+    for k, term in enumerate(doc["terms"]):
+        if not isinstance(term, dict) or not {"coeff", "string"} <= set(term):
+            raise ParseError(f"field 'terms[{k}]' must be an object with "
+                             f"'coeff' and 'string'")
+        re, im = _number_array(term["coeff"], f"terms[{k}].coeff",
+                               (2,)).tolist()
+        label = term["string"]
+        if (not isinstance(label, str) or len(label) != n
+                or set(label) - set("IXYZ")):
+            raise ParseError(f"field 'terms[{k}].string' must be {n} "
+                             f"letters over IXYZ, got {label!r}")
+        terms.append((complex(re, im), PauliString.from_label(label)))
+        bound += abs(re) + abs(im)
+    # bound caps every |c| and every sum of merged duplicates
+    if bound == float("inf"):
+        raise ParseError("field 'terms' has coefficients whose sum overflows")
+    return PauliSum.from_terms(n, terms)
 
 
 def fermion_hamiltonian_to_json(h: FermionHamiltonian) -> str:
@@ -384,16 +394,55 @@ def fermion_hamiltonian_to_json(h: FermionHamiltonian) -> str:
 
 
 def fermion_hamiltonian_from_json(text: str) -> FermionHamiltonian:
+    doc = _json_object(text, ("n_modes", "one_body", "two_body"))
+    n = _positive_int(doc, "n_modes")
+    one = _number_array(doc["one_body"], "one_body", (n, n))
+    two = _number_array(doc["two_body"], "two_body", (n, n, n, n))
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    for field in ("n_modes", "one_body", "two_body"):
-        if field not in doc:
-            raise ParseError(f"missing field {field!r}")
-    try:
-        return FermionHamiltonian(int(doc["n_modes"]),
-                                  np.asarray(doc["one_body"], dtype=float),
-                                  np.asarray(doc["two_body"], dtype=float))
+        return FermionHamiltonian(n, one, two)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _json_object(text: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object in text, holding at least the given fields."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object")
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise ParseError(f"missing field(s) {', '.join(missing)}")
+    return doc
+
+
+def _positive_int(doc: dict, field: str) -> int:
+    value = doc[field]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParseError(f"field {field!r} must be a positive integer, "
+                         f"got {value!r}")
+    return value
+
+
+def _number_array(value, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float array of the given shape; anything but nested JSON
+    lists of finite numbers raises a ParseError that names the field."""
+    def cells(value, dims):
+        if not dims:
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                return [value]
+        elif isinstance(value, list) and len(value) == dims[0]:
+            return [c for item in value for c in cells(item, dims[1:])]
+        raise ParseError(f"field {field!r} must be a {shape} array of "
+                         f"numbers")
+
+    try:
+        out = np.array(cells(value, shape), dtype=float).reshape(shape)
+        finite = np.all(np.isfinite(out))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParseError(f"field {field!r} must be finite")
+    return out

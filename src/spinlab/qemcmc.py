@@ -7,6 +7,12 @@ the computational basis, the marginal proposal matrix is symmetric and the
 plain Metropolis acceptance makes sampling exact for any proposal quality.
 Exact spectral diagnostics and classical baselines live here too.
 
+One kernel, _metropolis, runs every Metropolis chain here and in vmc: it
+accepts a move i -> p when log u < scale * (t[p] - t[i]) on a precomputed
+table t (the energies V with scale -beta in run_chain, log |psi|^2 with
+scale 1 in VMC) and records the state after step burn_in + k * thinning
+(run_chain: burn_in 0, thinning record_every).
+
 The exact proposal evolves only the chains' start columns of exp(-iHt), by
 one of three propagators that agree to about 1e-13:
 
@@ -34,6 +40,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import jv
 
+from .pauli import _number_array, _positive_int
 from .statevector import (CapacityError, SpinConfiguration, _rotate_qubits,
                           _x_gate, all_spin_values)
 
@@ -69,6 +76,13 @@ class ClassicalSpinModel:
         for name, a in (("couplings", j), ("fields", h)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite")
+        # |V| <= 0.5 sum|J| + sum|h|, but energy_table sums s J s before
+        # halving it, so the whole sum |J| must stay finite
+        with np.errstate(over="ignore"):
+            bound = np.abs(j).sum() + np.abs(h).sum()
+        if not np.isfinite(bound):
+            raise ValueError("couplings and fields overflow the energies: "
+                             "sum |J| + sum |h| is not finite")
         if not np.allclose(j, j.T, atol=1e-12):
             raise ValueError("couplings must be symmetric")
         if np.any(np.abs(np.diag(j)) > 1e-12):
@@ -139,36 +153,14 @@ def load_instance(path) -> ClassicalSpinModel:
     if missing:
         raise ValueError(f"instance file {path} lacks field(s) "
                          f"{', '.join(missing)}")
-    L = d["L"]
-    if isinstance(L, bool) or not isinstance(L, int) or L < 1:
-        raise ValueError(f"instance field 'L' must be a positive integer, "
-                         f"got {L!r}")
+    L = _positive_int(d, "L")
     topology = d.get("topology", "custom")
     if not isinstance(topology, str):
         raise ValueError(f"instance field 'topology' must be a string, "
                          f"got {topology!r}")
-    return ClassicalSpinModel(L=L,
-                              couplings=_number_array(d, "couplings", (L, L)),
-                              fields=_number_array(d, "fields", (L,)),
-                              topology=topology)
-
-
-def _number_array(d: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """d[key] as a float array of the given shape; anything but nested JSON
-    lists of numbers raises a ValueError that names the field."""
-    def cells(value, dims):
-        if not dims:
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return [value]
-        elif isinstance(value, list) and len(value) == dims[0]:
-            return [c for item in value for c in cells(item, dims[1:])]
-        raise ValueError(f"instance field {key!r} must be a {shape} array "
-                         f"of numbers")
-
-    try:
-        return np.array(cells(d[key], shape), dtype=float).reshape(shape)
-    except OverflowError:
-        raise ValueError(f"instance field {key!r} must be finite") from None
+    return ClassicalSpinModel(
+        L=L, couplings=_number_array(d["couplings"], "couplings", (L, L)),
+        fields=_number_array(d["fields"], "fields", (L,)), topology=topology)
 
 
 def energy(model: ClassicalSpinModel, x: SpinConfiguration) -> float:
@@ -432,6 +424,58 @@ class ChainDiagnostics:
             raise ValueError("acceptance rate must lie in [0, 1]")
 
 
+def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
+                steps: int, burn_in: int, thinning: int,
+                rng: np.random.Generator, draw, block: int,
+                flip: bool) -> tuple[np.ndarray, int]:
+    """Metropolis chains on a precomputed table; (records, accepted moves).
+
+    Each chain accepts a move from i to p when log u < scale * (t[p] - t[i])
+    and is recorded after step burn_in + k * thinning, k >= 1.  Every
+    ``block`` steps, draw(n, idx) returns the next n rows of moves for the
+    current states idx: XOR masks with ``flip``, else proposed states; the
+    block's uniforms are drawn right after it.  Without ``initial`` each
+    chain starts at a random index, redrawn while the table is infinite
+    there (a zero weight).
+    """
+    dim = table.size
+    if initial is None:
+        idx = rng.integers(0, dim, size=n_chains)
+        while np.any(np.isinf(table[idx])):
+            bad = np.isinf(table[idx])
+            idx[bad] = rng.integers(0, dim, size=int(bad.sum()))
+    else:
+        idx = np.asarray(initial)
+        if (idx.shape != (n_chains,)
+                or not np.issubdtype(idx.dtype, np.integer)
+                or np.any((idx < 0) | (idx >= dim))):
+            raise ValueError(f"initial must hold {n_chains} integer basis "
+                             f"indices in [0, {dim}), got {initial!r}")
+        idx = idx.astype(np.int64)
+    records = np.empty((n_chains, (steps - burn_in) // thinning),
+                       dtype=np.int64)
+    takes = np.empty((min(block, steps), n_chains), dtype=bool)
+    accepted = rec = 0
+    next_rec = burn_in + thinning
+    for done in range(0, steps, block):
+        n = min(block, steps - done)
+        moves = draw(n, idx)
+        logu = np.log(rng.random(size=(n, n_chains)))
+        for step, (move, lu, take) in enumerate(zip(moves, logu, takes),
+                                                done + 1):
+            prop = idx ^ move if flip else move
+            d = table[prop] - table[idx]
+            # 1.0 * d is d bitwise, and skipping it keeps VMC's step short
+            np.less(lu, d if scale == 1.0 else scale * d, out=take)
+            idx = np.where(take, prop, idx)
+            if step == next_rec:
+                records[:, rec] = idx
+                rec += 1
+                next_rec += thinning
+        accepted += int(np.count_nonzero(takes[:n]))
+    return records, accepted
+
+
 def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
               rng: np.random.Generator, n_chains: int = 1,
               record_every: int = 1,
@@ -443,54 +487,26 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
     Every chain advances one proposal per step; the state is recorded every
     record_every steps.  Samples have shape (steps // record_every,) for a
     single chain, else (n_chains, steps // record_every).  The quantum
-    proposal shares its per-step (t, gamma) draw across chains.
+    proposal shares its per-step (t, gamma) draw across chains.  initial,
+    if given, holds one start index in [0, 2^L) per chain.
     """
     L = model.L
     v = energy_table(model)
-    if initial is None:
-        idx = rng.integers(0, 2 ** L, size=n_chains)
-    else:
-        idx = np.array(initial, dtype=np.int64, copy=True).reshape(n_chains)
-    n_rec = steps // record_every
-    records = np.empty((n_chains, n_rec), dtype=np.int64)
-    accepted = 0
-    rec = 0
     quantum = isinstance(proposal, QuantumProposalConfig)
     if not quantum and proposal not in ("single-flip", "uniform"):
         raise ValueError(f"unknown proposal {proposal!r}")
-    if quantum:
-        for step in range(steps):
-            prop = _quantum_step(v, proposal, idx, rng)
-            logu = np.log(rng.random(n_chains))
-            take = logu < -beta * (v[prop] - v[idx])
-            idx = np.where(take, prop, idx)
-            accepted += int(take.sum())
-            if (step + 1) % record_every == 0:
-                records[:, rec] = idx
-                rec += 1
-    else:
-        block = 8192
-        done = 0
-        flip = proposal == "single-flip"
-        while done < steps:
-            n = min(block, steps - done)
-            if flip:
-                # only the site choices can be pre-drawn; the flip must
-                # apply to the current state, not the block-start one
-                bits = 1 << rng.integers(0, L, size=(n, n_chains))
-            else:
-                props = rng.integers(0, 2 ** L, size=(n, n_chains))
-            logu = np.log(rng.random(size=(n, n_chains)))
-            for t in range(n):
-                prop = idx ^ bits[t] if flip else props[t]
-                take = logu[t] < -beta * (v[prop] - v[idx])
-                idx = np.where(take, prop, idx)
-                accepted += int(take.sum())
-                step = done + t + 1
-                if step % record_every == 0:
-                    records[:, rec] = idx
-                    rec += 1
-            done += n
+    flip = proposal == "single-flip"
+
+    def draw(n, idx):
+        if quantum:
+            return _quantum_step(v, proposal, idx, rng)[None]
+        if flip:
+            return 1 << rng.integers(0, L, size=(n, n_chains))
+        return rng.integers(0, 2 ** L, size=(n, n_chains))
+
+    records, accepted = _metropolis(v, -beta, initial, n_chains, steps, 0,
+                                    record_every, rng, draw,
+                                    1 if quantum else 8192, flip=flip)
     energies = v[records]
     tau = autocorrelation_time_pooled(energies)
     diag = ChainDiagnostics(acceptance_rate=accepted / (steps * n_chains),

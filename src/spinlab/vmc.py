@@ -4,7 +4,10 @@ The estimator of interest is the local energy E_L(x) = <x|H|psi>/<x|psi>,
 whose variance vanishes when the ansatz is an eigenstate.  Sampling uses
 single-spin-flip Metropolis targeting psi(x)^2; many chains advance in
 lockstep as rows of a numpy array, which is what makes the repetition
-experiments affordable.
+experiments affordable.  The step is the one Metropolis kernel shared with
+the classical and quantum chains, qemcmc._metropolis: on the table
+lw = log |psi|^2 it accepts a flip i -> p when log u < lw[p] - lw[i]
+(scale 1) and records every thinning steps after burn_in.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .qemcmc import _metropolis
 from .statevector import SpinConfiguration, TFIMModel, _x_sum, all_spin_values
 from .vqe import EnergyEstimate
 
@@ -175,36 +179,16 @@ def run_metropolis_chains(a, n_chains: int, n_records: int, burn_in: int,
 
     burn_in and thinning count single-flip attempts per chain.  Proposal
     flips one uniformly chosen spin; acceptance is min[1, psi'^2/psi^2].
+    initial, if given, holds one start index in [0, 2^L) per chain.
     """
     L = a.L
-    lw = _log_weight_table(a)
-    if initial is None:
-        idx = rng.integers(0, 2 ** L, size=n_chains)
-        # restart any chain parked on a zero-weight configuration
-        while np.any(np.isinf(lw[idx])):
-            bad = np.isinf(lw[idx])
-            idx[bad] = rng.integers(0, 2 ** L, size=int(bad.sum()))
-    else:
-        idx = np.array(initial, dtype=np.int64, copy=True)
-    records = np.empty((n_chains, n_records), dtype=np.int64)
-    total = burn_in + n_records * thinning
-    block = 4096
-    done = 0
-    rec = 0
-    while done < total:
-        n = min(block, total - done)
-        sites = rng.integers(0, L, size=(n, n_chains))
-        logu = np.log(rng.random(size=(n, n_chains)))
-        for t in range(n):
-            prop = idx ^ (1 << sites[t])
-            accept = logu[t] < lw[prop] - lw[idx]
-            idx = np.where(accept, prop, idx)
-            step = done + t + 1
-            if step > burn_in and (step - burn_in) % thinning == 0:
-                records[:, rec] = idx
-                rec += 1
-        done += n
-    return records
+
+    def draw(n, idx):
+        return 1 << rng.integers(0, L, size=(n, n_chains))
+
+    return _metropolis(_log_weight_table(a), 1.0, initial, n_chains,
+                       burn_in + n_records * thinning, burn_in, thinning, rng,
+                       draw, 4096, flip=True)[0]
 
 
 def default_burn_in(L: int) -> int:

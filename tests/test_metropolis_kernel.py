@@ -1,0 +1,242 @@
+"""Pinned records of the two Metropolis chain drivers, and their input checks.
+
+``run_chain`` and ``run_metropolis_chains`` share one accept-and-record
+kernel.  The digests below pin, at fixed seeds, the recorded basis indices
+and (for ``run_chain``) the acceptance rate and tau.  The cases cross the
+pre-drawn block boundaries (4096 steps for VMC, 8192 for classical chains)
+with record intervals that do not divide the step count, so any change in
+the order in which the kernel consumes the random stream shows here.  Run
+this file as a script to print the digests of the code as it stands.
+"""
+
+import hashlib
+import inspect
+
+import numpy as np
+import pytest
+
+from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
+                            ferromagnetic_chain, run_chain,
+                            spin_glass_instance)
+from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz,
+                         run_metropolis_chains)
+
+
+def _fielded(L: int) -> ClassicalSpinModel:
+    rng = np.random.default_rng(100 + L)
+    g = spin_glass_instance(L, rng)
+    return ClassicalSpinModel(L, g.couplings, rng.normal(size=L))
+
+
+_MODELS = {
+    "ferro4": lambda: ferromagnetic_chain(4),
+    "glass5": lambda: spin_glass_instance(5, np.random.default_rng(5)),
+    "fields4": lambda: _fielded(4),
+    "fields5": lambda: _fielded(5),
+}
+
+
+def _chain_cases():
+    for model in ("ferro4", "glass5", "fields5"):
+        for proposal in ("single-flip", "uniform"):
+            for n_chains in (1, 3, 16):
+                for steps, every in ((9000, 7), (8193, 8192), (300, 1)):
+                    yield model, proposal, 1.3, steps, every, n_chains, False
+    for model in ("ferro4", "fields4", "fields5"):
+        for n_chains in (1, 3, 16):
+            yield model, "quantum", 0.8, 40, 3, n_chains, False
+    yield "fields5", "single-flip", 2.0, 8200, 5, 3, True
+    yield "fields5", "uniform", 0.5, 8200, 5, 3, True
+    yield "fields4", "quantum", 2.0, 30, 1, 3, True
+
+
+def _chain_id(case):
+    model, proposal, beta, steps, every, n_chains, initial = case
+    return (f"{model}-{proposal}-b{beta}-{steps}by{every}-c{n_chains}"
+            + ("-initial" if initial else ""))
+
+
+def _chain_digest(model, proposal, beta, steps, every, n_chains, initial):
+    m = _MODELS[model]()
+    if proposal == "quantum":
+        proposal = QuantumProposalConfig.for_model(m)
+    start = (np.arange(n_chains) * 7) % 2 ** m.L if initial else None
+    rec, diag = run_chain(m, proposal, beta, steps,
+                          np.random.default_rng(steps + n_chains),
+                          n_chains=n_chains, record_every=every,
+                          initial=start)
+    h = hashlib.sha256(np.ascontiguousarray(rec, dtype=np.int64).tobytes())
+    h.update(np.array([diag.acceptance_rate, diag.tau_energy]).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _ansatz(name):
+    if name == "jastrow6":
+        return JastrowAnsatz(6, (0.3, -0.2, 0.1))
+    # an exact-style table with zero amplitudes and mixed signs
+    t = np.random.default_rng(4).normal(size=16)
+    t[[0, 5, 6, 15]] = 0.0
+    return AmplitudeTableAnsatz(4, t)
+
+
+def _vmc_cases():
+    for ansatz in ("jastrow6", "zeros4"):
+        for n_chains in (1, 3, 64):
+            for n_records, burn_in, thinning in ((3, 4095, 1), (700, 10, 7),
+                                                 (2, 4095, 4096)):
+                yield ansatz, n_chains, n_records, burn_in, thinning, False
+    yield "jastrow6", 3, 50, 4095, 3, True
+    yield "zeros4", 64, 50, 4095, 3, True
+
+
+def _vmc_id(case):
+    ansatz, n_chains, n_records, burn_in, thinning, initial = case
+    return (f"{ansatz}-c{n_chains}-r{n_records}-b{burn_in}-t{thinning}"
+            + ("-initial" if initial else ""))
+
+
+def _vmc_digest(ansatz, n_chains, n_records, burn_in, thinning, initial):
+    a = _ansatz(ansatz)
+    # index 1 has a nonzero amplitude in both ansatzes
+    start = np.full(n_chains, 1) if initial else None
+    rec = run_metropolis_chains(a, n_chains, n_records, burn_in, thinning,
+                                np.random.default_rng(n_chains + n_records),
+                                initial=start)
+    return hashlib.sha256(rec.astype(np.int64).tobytes()).hexdigest()[:16]
+
+
+CHAIN_DIGESTS = {
+    'ferro4-single-flip-b1.3-9000by7-c1': '70da3aa0e257650f',
+    'ferro4-single-flip-b1.3-8193by8192-c1': '7e33a3595b7fcb9f',
+    'ferro4-single-flip-b1.3-300by1-c1': '1656c0b0ccfdebd1',
+    'ferro4-single-flip-b1.3-9000by7-c3': 'f8752826076b3d2d',
+    'ferro4-single-flip-b1.3-8193by8192-c3': '37a13ebae95bf7ee',
+    'ferro4-single-flip-b1.3-300by1-c3': '74297e63f7f1e144',
+    'ferro4-single-flip-b1.3-9000by7-c16': '6a12fa8896055500',
+    'ferro4-single-flip-b1.3-8193by8192-c16': '6aae7b43f611c091',
+    'ferro4-single-flip-b1.3-300by1-c16': '340735d8b5c63ecb',
+    'ferro4-uniform-b1.3-9000by7-c1': '568a23f923dd1192',
+    'ferro4-uniform-b1.3-8193by8192-c1': '2c97e36c837f629f',
+    'ferro4-uniform-b1.3-300by1-c1': 'c7793286992e8646',
+    'ferro4-uniform-b1.3-9000by7-c3': '140ff2ea3399196c',
+    'ferro4-uniform-b1.3-8193by8192-c3': '8f41ee581e0eec91',
+    'ferro4-uniform-b1.3-300by1-c3': '85112bb70634f2fd',
+    'ferro4-uniform-b1.3-9000by7-c16': '92be11101b504cdc',
+    'ferro4-uniform-b1.3-8193by8192-c16': 'b7aee53536f6b232',
+    'ferro4-uniform-b1.3-300by1-c16': '5d1e83ec2c4cb406',
+    'glass5-single-flip-b1.3-9000by7-c1': '0bb827f0291e8cd0',
+    'glass5-single-flip-b1.3-8193by8192-c1': 'cae612006d396bd7',
+    'glass5-single-flip-b1.3-300by1-c1': 'b273d0f0b9206425',
+    'glass5-single-flip-b1.3-9000by7-c3': '1b09529db1b13e84',
+    'glass5-single-flip-b1.3-8193by8192-c3': '689cdc72981bde21',
+    'glass5-single-flip-b1.3-300by1-c3': 'f91047b6895a6ac4',
+    'glass5-single-flip-b1.3-9000by7-c16': '7e5c5fca35c1e6fa',
+    'glass5-single-flip-b1.3-8193by8192-c16': '8f247a977b568163',
+    'glass5-single-flip-b1.3-300by1-c16': '8029b794fc1926b7',
+    'glass5-uniform-b1.3-9000by7-c1': '40fa710c68c1f5bf',
+    'glass5-uniform-b1.3-8193by8192-c1': 'c9573ae4ac3a5238',
+    'glass5-uniform-b1.3-300by1-c1': '4b94aa7ee9264d12',
+    'glass5-uniform-b1.3-9000by7-c3': '93a523e1f1492309',
+    'glass5-uniform-b1.3-8193by8192-c3': '8295f9b336c8ffb9',
+    'glass5-uniform-b1.3-300by1-c3': 'aa38ccd44778716b',
+    'glass5-uniform-b1.3-9000by7-c16': '705b3e1f038bb9b4',
+    'glass5-uniform-b1.3-8193by8192-c16': 'cfc61031fc0b25f5',
+    'glass5-uniform-b1.3-300by1-c16': 'a592209d0c32ac3e',
+    'fields5-single-flip-b1.3-9000by7-c1': 'e757440f656c6b83',
+    'fields5-single-flip-b1.3-8193by8192-c1': 'ac0e8cdc9506f21e',
+    'fields5-single-flip-b1.3-300by1-c1': 'e34574bf1a75ac91',
+    'fields5-single-flip-b1.3-9000by7-c3': '25cbcb8d8548745d',
+    'fields5-single-flip-b1.3-8193by8192-c3': '6929eea1f0e6c647',
+    'fields5-single-flip-b1.3-300by1-c3': '3aaa6662439da26e',
+    'fields5-single-flip-b1.3-9000by7-c16': '633fd1dfb8d32ea6',
+    'fields5-single-flip-b1.3-8193by8192-c16': '06fd9825c645821b',
+    'fields5-single-flip-b1.3-300by1-c16': 'c1192c7bd0dcdbea',
+    'fields5-uniform-b1.3-9000by7-c1': '33246e5eba32f3f1',
+    'fields5-uniform-b1.3-8193by8192-c1': '1bc01b1a2eb72f81',
+    'fields5-uniform-b1.3-300by1-c1': '184d7889c2d904a9',
+    'fields5-uniform-b1.3-9000by7-c3': '620c5b71e0c3e3fd',
+    'fields5-uniform-b1.3-8193by8192-c3': 'ab062493fa99d1bb',
+    'fields5-uniform-b1.3-300by1-c3': '26facdd3295f5157',
+    'fields5-uniform-b1.3-9000by7-c16': 'fa0c3a3907407a3a',
+    'fields5-uniform-b1.3-8193by8192-c16': '7693df1711503607',
+    'fields5-uniform-b1.3-300by1-c16': 'f073f19e419430ff',
+    'ferro4-quantum-b0.8-40by3-c1': 'fb14459764c51477',
+    'ferro4-quantum-b0.8-40by3-c3': '0ecc6ee33106f8e4',
+    'ferro4-quantum-b0.8-40by3-c16': '1e05ea6821c104a1',
+    'fields4-quantum-b0.8-40by3-c1': '8091c20da08383c9',
+    'fields4-quantum-b0.8-40by3-c3': 'bac9d0175a92ad17',
+    'fields4-quantum-b0.8-40by3-c16': '90cca6642da0936a',
+    'fields5-quantum-b0.8-40by3-c1': 'd524268e23db6f6f',
+    'fields5-quantum-b0.8-40by3-c3': '11796eba3c4412ce',
+    'fields5-quantum-b0.8-40by3-c16': 'f4f66a31595cb858',
+    'fields5-single-flip-b2.0-8200by5-c3-initial': '4862ff5eba06ede8',
+    'fields5-uniform-b0.5-8200by5-c3-initial': 'f4a0330631e5a882',
+    'fields4-quantum-b2.0-30by1-c3-initial': '6e48599b478b1a85',
+}
+
+VMC_DIGESTS = {
+    'jastrow6-c1-r3-b4095-t1': '2f46259bfa74e7f7',
+    'jastrow6-c1-r700-b10-t7': 'd33f7629a9abfa39',
+    'jastrow6-c1-r2-b4095-t4096': 'e8b2e3e096aa4921',
+    'jastrow6-c3-r3-b4095-t1': '8685541baafcf043',
+    'jastrow6-c3-r700-b10-t7': '017411d53f0447b9',
+    'jastrow6-c3-r2-b4095-t4096': 'a9dbacec66cb69d7',
+    'jastrow6-c64-r3-b4095-t1': '139a7e29e97303ef',
+    'jastrow6-c64-r700-b10-t7': '603c018ed232273b',
+    'jastrow6-c64-r2-b4095-t4096': 'c9161d5d65eb004e',
+    'zeros4-c1-r3-b4095-t1': '49f92c4a88e0fb71',
+    'zeros4-c1-r700-b10-t7': '912b277dd13adb09',
+    'zeros4-c1-r2-b4095-t4096': 'b8bd48c5932a2f39',
+    'zeros4-c3-r3-b4095-t1': '8bce82af771e8514',
+    'zeros4-c3-r700-b10-t7': '2e8b9c394c9a0edc',
+    'zeros4-c3-r2-b4095-t4096': '96faae9363c57fb4',
+    'zeros4-c64-r3-b4095-t1': '8278f596d22083e3',
+    'zeros4-c64-r700-b10-t7': 'a785c8f5c25d67d2',
+    'zeros4-c64-r2-b4095-t4096': '6a352d2c183f3867',
+    'jastrow6-c3-r50-b4095-t3-initial': '203bd43c19149372',
+    'zeros4-c64-r50-b4095-t3-initial': '39fc7993084728ff',
+}
+
+
+@pytest.mark.parametrize("case", list(_chain_cases()), ids=_chain_id)
+def test_run_chain_records_are_pinned(case):
+    assert _chain_digest(*case) == CHAIN_DIGESTS[_chain_id(case)]
+
+
+@pytest.mark.parametrize("case", list(_vmc_cases()), ids=_vmc_id)
+def test_run_metropolis_chains_records_are_pinned(case):
+    assert _vmc_digest(*case) == VMC_DIGESTS[_vmc_id(case)]
+
+
+@pytest.mark.parametrize("initial", [
+    [-3, 2], [0, 16], [3], [[0], [1]], [0.0, 1.0], [True, False]],
+    ids=["negative", "too-large", "too-few", "nested", "float", "bool"])
+def test_chain_drivers_reject_bad_initial(initial):
+    with pytest.raises(ValueError, match=r"\binitial\b"):
+        run_chain(ferromagnetic_chain(4), "single-flip", 1.0, 10,
+                  np.random.default_rng(0), n_chains=2, initial=initial)
+    with pytest.raises(ValueError, match=r"\binitial\b"):
+        run_metropolis_chains(JastrowAnsatz(4, (0.1, 0.2)), 2, 5, 0, 1,
+                              np.random.default_rng(0), initial=initial)
+
+
+def test_benchmark_tracer_reads_chain_arguments_by_position():
+    """perfbench's tracer reads these arguments by position to count chain
+    steps, so a renamed or reordered parameter would silently zero its
+    per-layer chain metrics."""
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(run_metropolis_chains)[1:5] == ["n_chains", "n_records",
+                                                 "burn_in", "thinning"]
+    chain = names(run_chain)
+    assert (chain[1], chain[3], chain[5]) == ("proposal", "steps",
+                                              "n_chains")
+
+
+if __name__ == "__main__":
+    for case in _chain_cases():
+        print(f"    {_chain_id(case)!r}: {_chain_digest(*case)!r},")
+    print()
+    for case in _vmc_cases():
+        print(f"    {_vmc_id(case)!r}: {_vmc_digest(*case)!r},")

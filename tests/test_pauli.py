@@ -1,9 +1,12 @@
 """Pauli algebra, Jordan-Wigner mapping, grouping, and serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlab.pauli import (
     FermionHamiltonian,
@@ -385,3 +388,140 @@ class TestSerialization:
         with pytest.raises(ParseError):
             fermion_hamiltonian_from_json(json.dumps(
                 {"n_modes": 2, "one_body": [[0.0]], "two_body": [[0.0]]}))
+
+
+_XZ = '[{"coeff": [1, 0], "string": "XZ"}]'
+_T1 = '[[[[0]]]]'
+
+
+@pytest.mark.parametrize("parse,text,field", [
+    (pauli_sum_from_json, '{"n_qubits": 1e400, "terms": []}', "n_qubits"),
+    (pauli_sum_from_json, '{"n_qubits": Infinity, "terms": []}', "n_qubits"),
+    (pauli_sum_from_json, f'{{"n_qubits": 2.7, "terms": {_XZ}}}', "n_qubits"),
+    (pauli_sum_from_json, '{"n_qubits": true, "terms": []}', "n_qubits"),
+    (pauli_sum_from_json, '{"n_qubits": -1, "terms": []}', "n_qubits"),
+    (pauli_sum_from_json, '{"n_qubits": 2, "terms": '
+     '[{"coeff": [1, 0, 7], "string": "XZ"}]}', "coeff"),
+    (pauli_sum_from_json, '{"n_qubits": 2, "terms": '
+     '[{"coeff": [Infinity, 0], "string": "XZ"}]}', "coeff"),
+    (pauli_sum_from_json, '{"n_qubits": 2, "terms": '
+     '[{"coeff": [NaN, 0], "string": "XZ"}]}', "coeff"),
+    (pauli_sum_from_json, '{"n_qubits": 2, "terms": '
+     '[{"coeff": [1e308, 0], "string": "XZ"}, '
+     '{"coeff": [1e308, 0], "string": "XZ"}]}', "terms"),
+    (pauli_sum_from_json, '{"n_qubits": 1, "terms": '
+     '[{"coeff": [1.7e308, 1.7e308], "string": "X"}]}', "terms"),
+    (pauli_sum_from_json, '{"n_qubits": 2, "terms": {"coeff": [1, 0]}}',
+     "terms"),
+    (pauli_sum_from_json, '{"n_qubits": 2, "terms": '
+     '[{"coeff": [1, 0], "string": 7}]}', "string"),
+    (fermion_hamiltonian_from_json,
+     '{"n_modes": null, "one_body": [[0]], "two_body": [[[[0]]]]}',
+     "n_modes"),
+    (fermion_hamiltonian_from_json,
+     '{"n_modes": 1, "one_body": [[0]], "two_body": {"a": 1}}', "two_body"),
+    (fermion_hamiltonian_from_json,
+     f'{{"n_modes": 1e400, "one_body": [[0]], "two_body": {_T1}}}',
+     "n_modes"),
+    (fermion_hamiltonian_from_json,
+     f'{{"n_modes": true, "one_body": [[0]], "two_body": {_T1}}}',
+     "n_modes"),
+    (fermion_hamiltonian_from_json,
+     f'{{"n_modes": 1.9, "one_body": [[0]], "two_body": {_T1}}}',
+     "n_modes"),
+    (fermion_hamiltonian_from_json,
+     '{"n_modes": 1, "one_body": [[0]], "two_body": [[[[null]]]]}',
+     "two_body"),
+    (fermion_hamiltonian_from_json,
+     '{"n_modes": 1, "one_body": [[0]], "two_body": [[[[1e400]]]]}',
+     "two_body"),
+], ids=["overflow-n", "infinite-n", "fractional-n", "bool-n", "negative-n",
+        "three-coeffs", "infinite-coeff", "nan-coeff", "overflowing-sum",
+        "overflowing-modulus", "terms-object", "number-string", "null-modes",
+        "two-body-object", "overflow-modes", "bool-modes", "fractional-modes",
+        "null-entry", "overflow-entry"])
+def test_parsers_name_the_bad_field(parse, text, field):
+    with pytest.raises(ParseError, match=rf"\b{field}\b"):
+        parse(text)
+
+
+def _nest(kids):
+    return (st.lists(kids, max_size=4)
+            | st.dictionaries(st.text(max_size=4), kids, max_size=4))
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                     | st.text(max_size=4), _nest, max_leaves=12)
+_ODD = st.sampled_from([float("nan"), float("inf"), 10 ** 400, 1e308,
+                        True, None, "1", [1.0], 2.5, -1, 0])
+
+
+@st.composite
+def _pauli_docs(draw):
+    """Well-formed Pauli sums with at most one defect."""
+    n = draw(st.integers(1, 3))
+    terms = [{"coeff": [draw(st.floats(-3, 3)), draw(st.floats(-3, 3))],
+              "string": "".join(draw(st.lists(st.sampled_from("IXYZ"),
+                                              min_size=n, max_size=n)))}
+             for _ in range(draw(st.integers(0, 3)))]
+    doc = {"n_qubits": n, "terms": terms}
+    defect = draw(st.sampled_from([None, "cell", "term", "n_qubits",
+                                   "terms", "string", "coeff"]))
+    if defect == "cell" and terms:
+        terms[0]["coeff"][draw(st.integers(0, 1))] = draw(_ODD)
+    elif defect in ("string", "coeff") and terms:
+        terms[-1][defect] = draw(_JSON | _ODD)
+    elif defect == "term" and terms:
+        terms[0] = draw(_JSON)
+    elif defect in ("n_qubits", "terms"):
+        doc[defect] = draw(_JSON | _ODD)
+    return doc
+
+
+@st.composite
+def _fermion_docs(draw):
+    """Well-formed fermion tables with at most one defect."""
+    n = draw(st.integers(1, 2))
+    cell = st.floats(-3, 3)
+    one = [[0.0] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1):
+            one[p][q] = one[q][p] = draw(cell)
+    two = draw(st.lists(st.lists(st.lists(st.lists(
+        cell, min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=n, max_size=n), min_size=n, max_size=n))
+    doc = {"n_modes": n, "one_body": one, "two_body": two}
+    defect = draw(st.sampled_from([None, "cell", "n_modes", "one_body",
+                                   "two_body"]))
+    if defect == "cell":
+        row = draw(st.sampled_from(one + [two[0][0][0]]))
+        row[draw(st.integers(0, n - 1))] = draw(_ODD)
+    elif defect is not None:
+        doc[defect] = draw(_JSON | _ODD)
+    return doc
+
+
+_NAMED = (r"\b(n_qubits|terms|coeff|string|n_modes|one_body|two_body)\b"
+          r"|invalid JSON|JSON object")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_JSON, _pauli_docs(), _fermion_docs()))
+def test_parsers_reject_only_with_named_parse_errors(doc):
+    """Any JSON document either parses to finite tables or raises a
+    ParseError that names the offending field; nothing else escapes."""
+    text = json.dumps(doc)
+    for parse in (pauli_sum_from_json, fermion_hamiltonian_from_json):
+        try:
+            h = parse(text)
+        except ParseError as exc:
+            assert re.search(_NAMED, str(exc)), exc
+            continue
+        if parse is pauli_sum_from_json:
+            assert all(np.isfinite(c) for c, _ in h.terms)
+            assert all(s.n_qubits == h.n_qubits for _, s in h.terms)
+        else:
+            assert h.one_body.shape == (h.n_modes,) * 2
+            assert h.two_body.shape == (h.n_modes,) * 4
+            assert np.all(np.isfinite(h.one_body))
+            assert np.all(np.isfinite(h.two_body))

@@ -156,10 +156,13 @@ class TestClassicalSpinModel:
         ("fields", [float("inf"), 0]),
         ("fields", [True, 0]),
         ("topology", 3),
+        ("couplings", [[0, 1e308], [1e308, 0]]),
+        ("fields", [1e308, -1e308]),
     ], ids=["fractional-L", "null-L", "word-L", "bool-L", "zero-L",
             "string-coupling", "ragged-couplings", "nan-coupling",
             "overflow-coupling", "infinite-field", "bool-field",
-            "number-topology"])
+            "number-topology", "energy-overflow-couplings",
+            "energy-overflow-fields"])
     def test_load_instance_names_bad_field(self, tmp_path, field, value):
         payload = {"L": 2, "couplings": [[0, 1], [1, 0]], "fields": [0, 0]}
         payload[field] = value
@@ -180,7 +183,7 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=4), kids, max_size=4),
     max_leaves=12)
 _ODD_CELL = st.sampled_from([float("nan"), float("inf"), -float("inf"),
-                             10 ** 400, True, None, "1", [1.0]])
+                             10 ** 400, 1.7e308, True, None, "1", [1.0]])
 
 
 @st.composite
@@ -223,6 +226,7 @@ def test_load_instance_rejects_only_with_named_value_errors(tmp_path, doc):
         return
     assert m.couplings.shape == (m.L, m.L) and m.fields.shape == (m.L,)
     assert np.all(np.isfinite(m.couplings)) and np.all(np.isfinite(m.fields))
+    assert np.all(np.isfinite(energy_table(m)))
 
 
 class TestEnergy:
