@@ -25,8 +25,9 @@ from . import __version__
 from .pauli import (fermion_hamiltonian_from_json, group_qubitwise, one_norm,
                     pauli_sum_to_json)
 from .statevector import TFIMModel, ground_state
-from .vqe import (METHOD_ALIASES, HVAnsatz, ShotPlan, estimate_energy_pauli,
-                  exact_energy, optimize_noiseless, predicted_error, prepare)
+from .vqe import (METHOD_ALIASES, HVAnsatz, ShotPlan,
+                  estimate_energy_pauli_batch, exact_energy,
+                  optimize_noiseless, predicted_error, prepare)
 from .vmc import (AmplitudeTableAnsatz, JastrowAnsatz, estimate_energy_vmc,
                   estimate_energy_vmc_batch, rayleigh_quotient,
                   run_sr_optimization)
@@ -338,8 +339,8 @@ def _pauli_cell(a: HVAnsatz, m: int, reps: int, seed: int) -> float:
     s = prepare(a)
     plan = ShotPlan.uniform(groups.n_groups, m)
     rng = np.random.default_rng(seed)
-    means = np.array([estimate_energy_pauli(s, h, groups, plan, rng).mean
-                      for _ in range(reps)])
+    ests = estimate_energy_pauli_batch(s, h, groups, plan, [rng] * reps)
+    means = np.array([e.mean for e in ests])
     return float(means.std(ddof=1))
 
 
@@ -491,14 +492,11 @@ def vqe_run(cfg: dict, master_seed: int, threads: int):
     s = prepare(res.ansatz)
     groups = group_qubitwise(h)
     plan = ShotPlan.uniform(groups.n_groups, cfg["shots_per_group"])
-    rows = []
-    seeds = {}
-    for rep in range(cfg["repetitions"]):
-        seed = derive_seed(master_seed, "vqe-est", rep)
-        seeds[f"rep{rep}"] = seed
-        est = estimate_energy_pauli(s, h, groups, plan,
-                                    np.random.default_rng(seed))
-        rows.append((rep, est.mean, est.stderr))
+    seeds = {f"rep{rep}": derive_seed(master_seed, "vqe-est", rep)
+             for rep in range(cfg["repetitions"])}
+    ests = estimate_energy_pauli_batch(
+        s, h, groups, plan, [np.random.default_rng(v) for v in seeds.values()])
+    rows = [(rep, e.mean, e.stderr) for rep, e in enumerate(ests)]
     return (("repetition", "mean", "stderr"), rows, seeds,
             {"csv": "vqe_run.csv", "E0": e0, "E_var": res.energy,
              "relative_error": abs(res.energy - e0) / abs(e0),

@@ -21,6 +21,10 @@ import numpy as np
 
 COEFF_CUTOFF = 1e-12
 
+# The bit action works on uint64 basis indices and masks, so a file may name
+# at most this many qubits (or modes, one qubit each under Jordan-Wigner).
+MAX_MASK_QUBITS = 64
+
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -361,7 +365,7 @@ def pauli_sum_to_json(h: PauliSum) -> str:
 
 def pauli_sum_from_json(text: str) -> PauliSum:
     doc = _json_object(text, ("n_qubits", "terms"))
-    n = _positive_int(doc, "n_qubits")
+    n = _positive_int(doc, "n_qubits", MAX_MASK_QUBITS)
     if not isinstance(doc["terms"], list):
         raise ParseError("field 'terms' must be a list")
     terms, bound = [], 0.0
@@ -395,7 +399,7 @@ def fermion_hamiltonian_to_json(h: FermionHamiltonian) -> str:
 
 def fermion_hamiltonian_from_json(text: str) -> FermionHamiltonian:
     doc = _json_object(text, ("n_modes", "one_body", "two_body"))
-    n = _positive_int(doc, "n_modes")
+    n = _positive_int(doc, "n_modes", MAX_MASK_QUBITS)
     one = _number_array(doc["one_body"], "one_body", (n, n))
     two = _number_array(doc["two_body"], "two_body", (n, n, n, n))
     try:
@@ -418,10 +422,13 @@ def _json_object(text: str, fields: tuple[str, ...]) -> dict:
     return doc
 
 
-def _positive_int(doc: dict, field: str) -> int:
+def _positive_int(doc: dict, field: str, maximum: int | None = None) -> int:
     value = doc[field]
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ParseError(f"field {field!r} must be a positive integer, "
+                         f"got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ParseError(f"field {field!r} must be at most {maximum}, "
                          f"got {value!r}")
     return value
 

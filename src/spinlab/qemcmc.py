@@ -424,6 +424,14 @@ class ChainDiagnostics:
             raise ValueError("acceptance rate must lie in [0, 1]")
 
 
+def _check_counts(minimum: int, **counts) -> None:
+    """Raise a ValueError naming the first count below minimum."""
+    for name, value in counts.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, "
+                             f"got {value!r}")
+
+
 def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
                 steps: int, burn_in: int, thinning: int,
                 rng: np.random.Generator, draw, block: int,
@@ -495,6 +503,7 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
     quantum = isinstance(proposal, QuantumProposalConfig)
     if not quantum and proposal not in ("single-flip", "uniform"):
         raise ValueError(f"unknown proposal {proposal!r}")
+    _check_counts(1, steps=steps, n_chains=n_chains, record_every=record_every)
     flip = proposal == "single-flip"
 
     def draw(n, idx):

@@ -5,6 +5,12 @@ values of Pauli sums, projective Z-basis sampling, exact diagonalization,
 and real-time evolution.  Everything is capped at desk scale: 26 qubits for
 vectors, 12 for dense matrices.
 
+Every single-qubit gate runs through ``_rotate_qubits``, which takes a
+symmetric gate such as an X rotation in three in-place ufunc calls per qubit
+with the bits of the general form.  Z-basis draws are inverse-CDF searches
+that an exact guide table shortcuts when there are at least as many draws as
+basis states.
+
 Spin encoding: basis index bit k = 0 means spin +1 on site k, bit 1 means
 spin -1 (qubit k <-> spin k).
 """
@@ -150,12 +156,25 @@ def _rotate_qubits(amps: np.ndarray,
     stack passed as ``reshape(-1)``).  Plain elementwise products keep the
     bits identical to the one-vector result; a BLAS or FMA path could move
     the last bit of the golden CSVs.
+
+    A symmetric gate (g00 == g11, g01 == g10, as every ``_x_gate``) takes
+    three in-place ufunc calls instead of eight: g01 times the pair-swapped
+    view, then g00 times the view, then their sum.  Each product keeps its
+    operands and their order, and the only change from the general form is
+    ``g10 v0 + g11 v1`` -> ``g11 v1 + g10 v0``, an exact swap in IEEE
+    addition, so both forms give the same bits.
     """
     for k, g in gates:
         view = amps.reshape(amps.shape[0] >> (k + 1), 2, -1)
+        (g00, g01), (g10, g11) = g.tolist()
+        if g00 == g11 and g01 == g10:
+            tmp = g01 * view[:, ::-1]
+            np.multiply(g00, view, out=view)
+            view += tmp
+            continue
         v0, v1 = view[:, 0], view[:, 1]
-        top = g[0, 0] * v0 + g[0, 1] * v1
-        view[:, 1] = g[1, 0] * v0 + g[1, 1] * v1
+        top = g00 * v0 + g01 * v1
+        view[:, 1] = g10 * v0 + g11 * v1
         view[:, 0] = top
 
 
@@ -169,10 +188,8 @@ def _x_sum(amps: np.ndarray, n: int) -> np.ndarray:
     """sum_k X_k applied to a length-2^n array; k ascends, fixing the rounding."""
     out = np.zeros_like(amps)
     for k in range(n):
-        t = amps.reshape(2 ** (n - 1 - k), 2, -1)
         o = out.reshape(2 ** (n - 1 - k), 2, -1)
-        o[:, 0] += t[:, 1]
-        o[:, 1] += t[:, 0]
+        o += amps.reshape(2 ** (n - 1 - k), 2, -1)[:, ::-1]
     return out
 
 
@@ -256,13 +273,55 @@ def apply_pauli_sum(s: StateVector, h: PauliSum) -> np.ndarray:
     return out
 
 
+def _guide_table(cum: np.ndarray, n_draws: int) -> np.ndarray | None:
+    """Inverse-CDF guide table for n_draws uniforms on the CDF cum.
+
+    G buckets, the smallest power of two >= n_draws, so bucket b = floor(u G)
+    holds exactly the u in [b/G, (b+1)/G).  Entry b is the answer
+    ``searchsorted(cum, u, "right")`` shared by every u in the bucket, or -1
+    when a CDF value lies strictly inside it (Devroye, Non-Uniform Random
+    Variate Generation, 1986, III.2.4).  None with fewer draws than CDF
+    entries: building the table would then cost more than the searches it
+    saves.  The table takes at most twice the memory of the uniforms.
+    """
+    if n_draws < cum.size:
+        return None
+    G = 1 << (n_draws - 1).bit_length()
+    scaled = cum * G  # exact: G is a power of two
+    up = np.ceil(scaled)
+    # cum <= b/G  <=>  ceil(cum G) <= b
+    table = np.cumsum(np.bincount(up.astype(np.intp), minlength=G + 1)[:G])
+    table[scaled[scaled != up].astype(np.intp)] = -1
+    return table
+
+
+def _inverse_cdf(cum: np.ndarray, table: np.ndarray | None,
+                 u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, side="right")``, read off the guide table
+    where the bucket of u answers alone."""
+    if table is None:
+        return np.searchsorted(cum, u, side="right")
+    idx = table[(u * table.size).astype(np.intp)]
+    miss = np.flatnonzero(idx < 0)
+    idx[miss] = np.searchsorted(cum, u[miss], side="right")
+    return idx
+
+
+def _normalized_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative probabilities scaled so the last entry is exactly 1."""
+    cum = np.cumsum(probs)
+    if not cum[-1] > 0:  # also catches nan
+        raise ValueError("cannot sample a state of zero or non-finite norm")
+    cum /= cum[-1]
+    return cum
+
+
 def sample_indices(s: StateVector, M: int, rng: np.random.Generator) -> np.ndarray:
     """M basis-index draws from |amplitude|^2 via inverse CDF, one uniform each."""
     if M < 1:
         raise ValueError("need at least one shot")
-    cum = np.cumsum(s.probabilities())
-    cum /= cum[-1]
-    return np.searchsorted(cum, rng.random(M), side="right")
+    cum = _normalized_cdf(s.probabilities())
+    return _inverse_cdf(cum, _guide_table(cum, M), rng.random(M))
 
 
 def sample_z(s: StateVector, M: int, rng: np.random.Generator) -> list[SpinConfiguration]:

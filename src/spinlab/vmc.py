@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qemcmc import _metropolis
+from .qemcmc import _check_counts, _metropolis
 from .statevector import SpinConfiguration, TFIMModel, _x_sum, all_spin_values
 from .vqe import EnergyEstimate
 
@@ -181,6 +181,8 @@ def run_metropolis_chains(a, n_chains: int, n_records: int, burn_in: int,
     flips one uniformly chosen spin; acceptance is min[1, psi'^2/psi^2].
     initial, if given, holds one start index in [0, 2^L) per chain.
     """
+    _check_counts(0, n_records=n_records, burn_in=burn_in)
+    _check_counts(1, n_chains=n_chains, thinning=thinning)
     L = a.L
 
     def draw(n, idx):

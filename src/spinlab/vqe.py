@@ -3,13 +3,16 @@
 The ansatz alternates evolutions under the two non-commuting parts of the
 transverse-field Ising Hamiltonian, starting from the all-plus state.  Energy
 estimation emulates projective measurement of qubit-wise commuting groups;
-every string in a group is read off the same shot record.  Optimizers work on
-the exact state vector; shot noise enters only through explicit injection.
+every string in a group is read off the same shot record, and repeated
+estimates on one state share each group's basis rotation
+(``estimate_energy_pauli_batch``).  Optimizers work on the exact state
+vector; shot noise enters only through explicit injection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.optimize
@@ -168,21 +171,41 @@ def estimate_energy_pauli(s: StateVector, h: PauliSum,
     The group's coefficient-weighted sum is averaged over shots, and group
     variances combine in quadrature (groups use independent shots).
     """
+    return estimate_energy_pauli_batch(s, h, groups, plan, [rng])[0]
+
+
+def estimate_energy_pauli_batch(s: StateVector, h: PauliSum,
+                                groups: MeasurementGroups, plan: ShotPlan,
+                                rngs: Sequence[np.random.Generator]
+                                ) -> list[EnergyEstimate]:
+    """One ``estimate_energy_pauli`` per generator in rngs, bitwise equal.
+
+    Each group's basis rotation runs once for all repetitions, which then
+    draw from it one after another, rngs[r] serving repetition r.  A
+    generator gives every repetition's draws in group order, the stream the
+    single call consumes, and only one group's rotated state is alive at a
+    time.  A generator listed more than once serves its estimates one after
+    another, as that many single calls in a row on it.
+    """
     if len(plan.shots_per_group) != groups.n_groups:
         raise ValueError("plan does not match the number of groups")
-    mean = h.identity_coefficient().real
-    var_of_mean = 0.0
+    if len({id(rng) for rng in rngs}) < len(rngs):
+        return [estimate_energy_pauli(s, h, groups, plan, rng) for rng in rngs]
+    means = [h.identity_coefficient().real] * len(rngs)
+    vars_of_mean = [0.0] * len(rngs)
     for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):
         rotated = rotate_to_basis(s, basis)
-        shots = sample_indices(rotated, m, rng)
         coeffs = np.array([h.terms[i][0].real for i in grp])
         masks = np.array([h.terms[i][1].mask() for i in grp], dtype=np.uint64)
-        weighted = coeffs @ _string_values(masks, shots)
-        mean += float(weighted.mean())
-        if m > 1:
-            var_of_mean += float(weighted.var(ddof=1)) / m
-    return EnergyEstimate(mean=mean, stderr=float(np.sqrt(var_of_mean)),
-                          shots_used=plan.total)
+        for r, rng in enumerate(rngs):
+            weighted = coeffs @ _string_values(masks,
+                                               sample_indices(rotated, m, rng))
+            means[r] += float(weighted.mean())
+            if m > 1:
+                vars_of_mean[r] += float(weighted.var(ddof=1)) / m
+    return [EnergyEstimate(mean=mean, stderr=float(np.sqrt(var_of_mean)),
+                           shots_used=plan.total)
+            for mean, var_of_mean in zip(means, vars_of_mean)]
 
 
 def predicted_error(s: StateVector, h: PauliSum, plan: ShotPlan,

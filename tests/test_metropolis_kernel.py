@@ -18,6 +18,7 @@ import pytest
 from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
                             ferromagnetic_chain, run_chain,
                             spin_glass_instance)
+from spinlab.statevector import apply_exp_x, apply_exp_zz, sample_indices
 from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz,
                          run_metropolis_chains)
 
@@ -220,10 +221,45 @@ def test_chain_drivers_reject_bad_initial(initial):
                               np.random.default_rng(0), initial=initial)
 
 
+@pytest.mark.parametrize("args,name", [
+    ((2, 5, -20, 10), "burn_in"),
+    ((2, 5, 10, 0), "thinning"),
+    ((2, 5, 10, -3), "thinning"),
+    ((0, 5, 10, 1), "n_chains"),
+    ((2, -1, 10, 1), "n_records"),
+], ids=["negative-burn-in", "zero-thinning", "negative-thinning",
+        "zero-chains", "negative-records"])
+def test_run_metropolis_chains_rejects_bad_counts(args, name):
+    # a negative burn_in once returned uninitialized memory as indices, and
+    # zero thinning divided by zero
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        run_metropolis_chains(JastrowAnsatz(4, (0.1, 0.2)), *args,
+                              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("proposal", ["single-flip", "uniform", "quantum"])
+@pytest.mark.parametrize("kwargs,name", [
+    ({"steps": 0}, "steps"),
+    ({"n_chains": 0}, "n_chains"),
+    ({"record_every": 0}, "record_every"),
+    ({"record_every": -2}, "record_every"),
+], ids=["zero-steps", "zero-chains", "zero-record-every",
+        "negative-record-every"])
+def test_run_chain_rejects_bad_counts(proposal, kwargs, name):
+    model = ferromagnetic_chain(4)
+    if proposal == "quantum":
+        proposal = QuantumProposalConfig.for_model(model)
+    args = {"steps": 10, "n_chains": 2, "record_every": 1} | kwargs
+    steps = args.pop("steps")
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        run_chain(model, proposal, 1.0, steps, np.random.default_rng(0),
+                  **args)
+
+
 def test_benchmark_tracer_reads_chain_arguments_by_position():
     """perfbench's tracer reads these arguments by position to count chain
-    steps, so a renamed or reordered parameter would silently zero its
-    per-layer chain metrics."""
+    steps, shots and layer bytes, so a renamed or reordered parameter would
+    silently zero its per-layer metrics."""
     def names(fn):
         return list(inspect.signature(fn).parameters)
 
@@ -232,6 +268,8 @@ def test_benchmark_tracer_reads_chain_arguments_by_position():
     chain = names(run_chain)
     assert (chain[1], chain[3], chain[5]) == ("proposal", "steps",
                                               "n_chains")
+    assert names(sample_indices)[1] == "M"
+    assert names(apply_exp_zz)[0] == names(apply_exp_x)[0] == "s"
 
 
 if __name__ == "__main__":

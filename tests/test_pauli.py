@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlab.pauli import (
+    MAX_MASK_QUBITS,
     FermionHamiltonian,
     ParseError,
     PauliString,
@@ -400,6 +401,10 @@ _T1 = '[[[[0]]]]'
     (pauli_sum_from_json, f'{{"n_qubits": 2.7, "terms": {_XZ}}}', "n_qubits"),
     (pauli_sum_from_json, '{"n_qubits": true, "terms": []}', "n_qubits"),
     (pauli_sum_from_json, '{"n_qubits": -1, "terms": []}', "n_qubits"),
+    (pauli_sum_from_json, f'{{"n_qubits": {10 ** 30}, "terms": []}}',
+     "n_qubits"),
+    (pauli_sum_from_json, '{"n_qubits": 65, "terms": [{"coeff": [1, 0], '
+     '"string": "' + "X" * 65 + '"}]}', "n_qubits"),
     (pauli_sum_from_json, '{"n_qubits": 2, "terms": '
      '[{"coeff": [1, 0, 7], "string": "XZ"}]}', "coeff"),
     (pauli_sum_from_json, '{"n_qubits": 2, "terms": '
@@ -427,6 +432,11 @@ _T1 = '[[[[0]]]]'
      f'{{"n_modes": true, "one_body": [[0]], "two_body": {_T1}}}',
      "n_modes"),
     (fermion_hamiltonian_from_json,
+     f'{{"n_modes": {10 ** 30}, "one_body": [[0]], "two_body": {_T1}}}',
+     "n_modes"),
+    (fermion_hamiltonian_from_json,
+     f'{{"n_modes": 65, "one_body": [[0]], "two_body": {_T1}}}', "n_modes"),
+    (fermion_hamiltonian_from_json,
      f'{{"n_modes": 1.9, "one_body": [[0]], "two_body": {_T1}}}',
      "n_modes"),
     (fermion_hamiltonian_from_json,
@@ -436,10 +446,11 @@ _T1 = '[[[[0]]]]'
      '{"n_modes": 1, "one_body": [[0]], "two_body": [[[[1e400]]]]}',
      "two_body"),
 ], ids=["overflow-n", "infinite-n", "fractional-n", "bool-n", "negative-n",
-        "three-coeffs", "infinite-coeff", "nan-coeff", "overflowing-sum",
-        "overflowing-modulus", "terms-object", "number-string", "null-modes",
-        "two-body-object", "overflow-modes", "bool-modes", "fractional-modes",
-        "null-entry", "overflow-entry"])
+        "huge-n", "past-mask-n", "three-coeffs", "infinite-coeff",
+        "nan-coeff", "overflowing-sum", "overflowing-modulus", "terms-object",
+        "number-string", "null-modes", "two-body-object", "overflow-modes", "bool-modes", "huge-modes",
+        "past-mask-modes", "fractional-modes", "null-entry",
+        "overflow-entry"])
 def test_parsers_name_the_bad_field(parse, text, field):
     with pytest.raises(ParseError, match=rf"\b{field}\b"):
         parse(text)
@@ -454,6 +465,9 @@ _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
                      | st.text(max_size=4), _nest, max_leaves=12)
 _ODD = st.sampled_from([float("nan"), float("inf"), 10 ** 400, 1e308,
                         True, None, "1", [1.0], 2.5, -1, 0])
+# qubit and mode counts around the uint64 mask width and far past it
+_COUNTS = (st.integers(MAX_MASK_QUBITS - 1, MAX_MASK_QUBITS + 2)
+           | st.integers(MAX_MASK_QUBITS + 1, 10 ** 30))
 
 
 @st.composite
@@ -473,7 +487,14 @@ def _pauli_docs(draw):
         terms[-1][defect] = draw(_JSON | _ODD)
     elif defect == "term" and terms:
         terms[0] = draw(_JSON)
-    elif defect in ("n_qubits", "terms"):
+    elif defect == "n_qubits":
+        doc[defect] = draw(_JSON | _ODD | _COUNTS)
+        if isinstance(doc[defect], int) and doc[defect] <= MAX_MASK_QUBITS:
+            # a full-width sum, so the count is the only thing to judge
+            doc["terms"] = [{"coeff": [1.0, 0.0],
+                             "string": "XYZ" * (doc[defect] // 3)
+                             + "Z" * (doc[defect] % 3)}]
+    elif defect == "terms":
         doc[defect] = draw(_JSON | _ODD)
     return doc
 
@@ -496,6 +517,8 @@ def _fermion_docs(draw):
     if defect == "cell":
         row = draw(st.sampled_from(one + [two[0][0][0]]))
         row[draw(st.integers(0, n - 1))] = draw(_ODD)
+    elif defect == "n_modes":
+        doc[defect] = draw(_JSON | _ODD | _COUNTS)
     elif defect is not None:
         doc[defect] = draw(_JSON | _ODD)
     return doc
@@ -518,9 +541,11 @@ def test_parsers_reject_only_with_named_parse_errors(doc):
             assert re.search(_NAMED, str(exc)), exc
             continue
         if parse is pauli_sum_from_json:
+            assert h.n_qubits <= MAX_MASK_QUBITS
             assert all(np.isfinite(c) for c, _ in h.terms)
             assert all(s.n_qubits == h.n_qubits for _, s in h.terms)
         else:
+            assert h.n_modes <= MAX_MASK_QUBITS
             assert h.one_body.shape == (h.n_modes,) * 2
             assert h.two_body.shape == (h.n_modes,) * 4
             assert np.all(np.isfinite(h.one_body))

@@ -1,5 +1,7 @@
 """Circuit-ansatz preparation, shot-noise estimation, and optimizers."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,8 +11,11 @@ from spinlab.pauli import (MeasurementGroups, PauliString, PauliSum,
 from spinlab.statevector import (SpinConfiguration, StateVector, TFIMModel,
                                  apply_exp_x, apply_exp_zz, apply_pauli_sum,
                                  basis_state, ground_state, init_plus)
-from spinlab.vqe import (HVAnsatz, ShotPlan, amplitude_ratio_estimate,
-                         energy_and_gradient, estimate_energy_pauli,
+from spinlab.statevector import rotate_to_basis, sample_indices
+from spinlab import vqe
+from spinlab.vqe import (HVAnsatz, ShotPlan, _string_values,
+                         amplitude_ratio_estimate, energy_and_gradient,
+                         estimate_energy_pauli, estimate_energy_pauli_batch,
                          exact_energy, natural_gradient_step,
                          noisy_gradient_step, optimize_noiseless,
                          predicted_error, prepare, shot_budget,
@@ -259,6 +264,98 @@ class TestEstimateEnergyPauli:
     def test_shot_plan_requires_positive_counts(self):
         with pytest.raises(ValueError):
             ShotPlan((100, 0))
+
+
+def _ref_estimate(s, h, groups, plan, rng):
+    """The per-call estimator: rotate, plain inverse CDF and parities for
+    every group of every repetition."""
+    mean, var_of_mean = h.identity_coefficient().real, 0.0
+    for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):
+        cum = np.cumsum(rotate_to_basis(s, basis).probabilities())
+        cum /= cum[-1]
+        shots = np.searchsorted(cum, rng.random(m), side="right")
+        coeffs = np.array([h.terms[i][0].real for i in grp])
+        masks = np.array([h.terms[i][1].mask() for i in grp], dtype=np.uint64)
+        weighted = coeffs @ _string_values(masks, shots)
+        mean += float(weighted.mean())
+        if m > 1:
+            var_of_mean += float(weighted.var(ddof=1)) / m
+    return mean, float(np.sqrt(var_of_mean)), plan.total
+
+
+def _mixed_sum(L: int, seed: int) -> PauliSum:
+    rng = np.random.default_rng(seed)
+    terms = [(complex(rng.normal()), PauliString(
+        "".join(rng.choice(list("IXYZ"), size=L)))) for _ in range(3 * L)]
+    return PauliSum.from_terms(L, terms)
+
+
+class TestEstimateEnergyPauliBatch:
+    # shot counts on both sides of the guide-table threshold, one draw per
+    # CDF entry: 1, 100 and 257 shots search without a table at L = 10
+    @pytest.mark.parametrize("L,m,reps", [(4, 1, 3), (6, 100, 30),
+                                          (10, 100, 3), (10, 257, 2),
+                                          (10, 1500, 4), (10, 5000, 2)])
+    def test_equals_reference_per_generator(self, L, m, reps):
+        model = TFIMModel(L=L, J=0.8, Gamma=1.3)
+        s = prepare(_bitwise_ansatz(L, 0.8, 1.3, True))
+        for h in (model.as_pauli_sum(), _mixed_sum(L, L)):
+            groups = group_qubitwise(h)
+            plan = ShotPlan(tuple(m + g for g in range(groups.n_groups)))
+            ests = estimate_energy_pauli_batch(
+                s, h, groups, plan,
+                [np.random.default_rng(r) for r in range(reps)])
+            assert len(ests) == reps
+            for r, est in enumerate(ests):
+                ref = _ref_estimate(s, h, groups, plan,
+                                    np.random.default_rng(r))
+                assert (est.mean, est.stderr, est.shots_used) == ref
+                single = estimate_energy_pauli(s, h, groups, plan,
+                                               np.random.default_rng(r))
+                assert single == est
+
+    def test_one_generator_listed_n_times_is_n_calls_on_it(self):
+        h = TFIMModel(L=8).as_pauli_sum()
+        groups = group_qubitwise(h)
+        plan = ShotPlan.uniform(groups.n_groups, 300)
+        s = prepare(_bitwise_ansatz(8, 1.0, 1.0, True))
+        rng = np.random.default_rng(5)
+        batch = estimate_energy_pauli_batch(s, h, groups, plan, [rng] * 12)
+        rng = np.random.default_rng(5)
+        assert batch == [estimate_energy_pauli(s, h, groups, plan, rng)
+                         for _ in range(12)]
+        assert rng.random() == np.random.default_rng(5).random(
+            12 * plan.total + 1)[-1]
+
+    def test_draws_one_group_at_a_time_through_sample_indices(
+            self, monkeypatch):
+        # each group's rotated state is dropped before the next one's draws,
+        # and every shot goes through the public sample_indices
+        h = _mixed_sum(8, 3)
+        groups = group_qubitwise(h)
+        assert groups.n_groups > 2
+        plan = ShotPlan.uniform(groups.n_groups, 500)
+        s = prepare(_bitwise_ansatz(8, 1.0, 1.0, True))
+        rotated, shots = [], []
+
+        def traced_sample(state, M, rng):
+            rotated.append(weakref.ref(state))
+            assert {id(r()) for r in rotated if r() is not None} == {id(state)}
+            shots.append(M)
+            return sample_indices(state, M, rng)
+
+        monkeypatch.setattr(vqe, "sample_indices", traced_sample)
+        rngs = [np.random.default_rng(r) for r in range(3)]
+        estimate_energy_pauli_batch(s, h, groups, plan, rngs)
+        assert sum(shots) == len(rngs) * plan.total
+
+    def test_plan_size_mismatch_rejected(self):
+        h = TFIMModel(L=4).as_pauli_sum()
+        groups = group_qubitwise(h)
+        with pytest.raises(ValueError):
+            estimate_energy_pauli_batch(init_plus(4), h, groups,
+                                        ShotPlan((10,)),
+                                        [np.random.default_rng(0)])
 
 
 class TestPredictedError:
