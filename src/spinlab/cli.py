@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("runs"),
                        help="output directory for CSV and manifest")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for independent tasks")
+                       help="worker processes for fig2's independent "
+                            "cells; the other experiments ignore it")
 
     jw = sub.add_parser("jw-map",
                         help="map a fermion Hamiltonian file to Pauli form")

@@ -107,8 +107,15 @@ def _bit_action(p: PauliString,
             sign |= 1 << k
         if c == "Y":
             ny += 1
-    parity = np.bitwise_count(idx & np.uint64(sign)) & 1
-    return idx ^ np.uint64(flip), (1j ** ny) * np.where(parity, -1.0, 1.0)
+    return idx ^ np.uint64(flip), (1j ** ny) * _string_values([sign], idx)[0]
+
+
+def _string_values(masks, indices) -> np.ndarray:
+    """(n_masks, n_indices) array of the signs (-1)^popcount(index & mask)."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    masks = np.asarray(masks, dtype=np.uint64)
+    parity = np.bitwise_count(idx[None, :] & masks[:, None]) & 1
+    return 1.0 - 2.0 * parity
 
 
 def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
@@ -166,8 +173,8 @@ class PauliSum:
     def non_identity_terms(self) -> list[tuple[complex, PauliString]]:
         return [(c, s) for c, s in self.terms if not s.is_identity]
 
-    def coefficients_real(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c, _ in self.terms)
+    def coefficients_real(self) -> bool:
+        return all(abs(c.imag) <= 1e-10 for c, _ in self.terms)
 
     def scaled(self, factor: complex) -> "PauliSum":
         return PauliSum.from_terms(self.n_qubits,

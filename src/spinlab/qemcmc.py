@@ -41,8 +41,9 @@ from scipy import sparse
 from scipy.special import jv
 
 from .pauli import _number_array, _positive_int
-from .statevector import (CapacityError, SpinConfiguration, _rotate_qubits,
-                          _x_gate, all_spin_values)
+from .statevector import (CapacityError, SpinConfiguration, _inverse_cdf,
+                          _normalized_cdf, _rotate_qubits, _x_gate,
+                          all_spin_values)
 
 MAX_EXACT_QUBITS = 12
 MAX_TROTTER_QUBITS = 20
@@ -220,11 +221,9 @@ class QuantumProposalConfig:
             raise ValueError("mix_single_flip must lie in [0, 1)")
 
     @classmethod
-    def for_model(cls, model: ClassicalSpinModel,
-                  evolution: str = "exact") -> "QuantumProposalConfig":
+    def for_model(cls, model: ClassicalSpinModel) -> "QuantumProposalConfig":
         scale = model.mean_abs_coupling()
-        return cls(gamma_range=(0.1 * scale, 0.6 * scale),
-                   time_range=(2.0, 20.0), evolution=evolution)
+        return cls(gamma_range=(0.1 * scale, 0.6 * scale))
 
     def draw(self, rng: np.random.Generator) -> tuple[float, float]:
         t = rng.uniform(*self.time_range)
@@ -350,17 +349,6 @@ def _trotter_columns(v_table: np.ndarray, gamma: float, t: float,
     return amps
 
 
-def _sample_columns(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per column of a (dim, n) probability array."""
-    cum = np.cumsum(probs, axis=0)
-    cum /= cum[-1, :]
-    u = rng.random(probs.shape[1])
-    out = np.empty(probs.shape[1], dtype=np.int64)
-    for c in range(probs.shape[1]):
-        out[c] = np.searchsorted(cum[:, c], u[c], side="right")
-    return out
-
-
 def _quantum_step(v_table: np.ndarray, cfg: QuantumProposalConfig,
                   idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Propose new indices for every chain with one shared (t, gamma) draw."""
@@ -383,7 +371,9 @@ def _quantum_step(v_table: np.ndarray, cfg: QuantumProposalConfig,
             raise CapacityError(
                 f"trotter proposal capped at {MAX_TROTTER_QUBITS} sites")
         cols = _trotter_columns(v_table, g, t, idx, cfg.trotter_steps)
-    out = _sample_columns(np.abs(cols) ** 2, rng)
+    u = rng.random(idx.size)
+    out = np.array([_inverse_cdf(_normalized_cdf(p), None, x)
+                    for p, x in zip((np.abs(cols) ** 2).T, u)])
     if cfg.mix_single_flip > 0.0:
         take_flip = rng.random(idx.size) < cfg.mix_single_flip
         flips = idx ^ (1 << rng.integers(0, L, size=idx.size))
@@ -417,7 +407,6 @@ def accept(model: ClassicalSpinModel, x: SpinConfiguration,
 class ChainDiagnostics:
     acceptance_rate: float
     tau_energy: float
-    delta: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.acceptance_rate <= 1.0:
@@ -504,6 +493,9 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
     if not quantum and proposal not in ("single-flip", "uniform"):
         raise ValueError(f"unknown proposal {proposal!r}")
     _check_counts(1, steps=steps, n_chains=n_chains, record_every=record_every)
+    if record_every > steps:
+        raise ValueError(f"record_every must be at most steps = {steps}, "
+                         f"got {record_every!r}")
     flip = proposal == "single-flip"
 
     def draw(n, idx):
@@ -654,25 +646,22 @@ def _autocovariance(series: np.ndarray, mean: float) -> np.ndarray:
     return acov / n
 
 
-def autocorrelation_time(series, mean: float | None = None,
-                         window_factor: float = 5.0) -> float:
+def autocorrelation_time(series) -> float:
     """Integrated autocorrelation time with automatic windowing.
 
     tau(W) = 0.5 + sum_{t<=W} rho_t, evaluated at the smallest W satisfying
-    W >= window_factor * tau(W).  If no window closes, the value at the
+    W >= 5 tau(W).  If no window closes, the value at the
     largest admissible W (half the series) is returned, which then
     underestimates the true time.  A zero-variance series returns n/2.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    return autocorrelation_time_pooled(x[None, :], mean=mean,
-                                       window_factor=window_factor)
+    return autocorrelation_time_pooled(x[None, :])
 
 
 def autocorrelation_time_pooled(series: np.ndarray,
-                                mean: float | None = None,
-                                window_factor: float = 5.0) -> float:
+                                mean: float | None = None) -> float:
     """Pooled tau over parallel chains (rows), averaging autocovariances.
 
     With ``mean`` unset each chain subtracts the grand mean over all rows;
@@ -695,6 +684,6 @@ def autocorrelation_time_pooled(series: np.ndarray,
     tau = 0.5
     for w in range(1, w_max + 1):
         tau += rho[w]
-        if w >= window_factor * tau:
+        if w >= 5.0 * tau:
             return max(tau, 0.5)
     return max(tau, 0.5)

@@ -24,7 +24,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, _bit_action
+from .pauli import PauliString, PauliSum, _bit_action, _string_values
 
 MAX_STATE_QUBITS = 26
 MAX_DENSE_QUBITS = 12
@@ -131,17 +131,24 @@ class TFIMModel:
         return total
 
 
-def init_plus(n: int) -> StateVector:
-    """Uniform superposition |+>^n (Hadamard on every qubit of |0...0>)."""
+def _check_qubits(n: int) -> None:
     if n < 1:
         raise ValueError("need at least one qubit")
     if n > MAX_STATE_QUBITS:
         raise CapacityError(f"n={n} exceeds the {MAX_STATE_QUBITS}-qubit ceiling")
+
+
+def init_plus(n: int) -> StateVector:
+    """Uniform superposition |+>^n (Hadamard on every qubit of |0...0>)."""
+    _check_qubits(n)
     amps = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
     return StateVector(amps)
 
 
 def basis_state(n: int, index: int) -> StateVector:
+    _check_qubits(n)
+    if not 0 <= index < 2 ** n:
+        raise IndexError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(2 ** n, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
@@ -406,8 +413,7 @@ def diagonal_values(h: PauliSum) -> np.ndarray:
     for coeff, string in h.terms:
         if not set(string.letters) <= {"I", "Z"}:
             raise ValueError("sum is not diagonal")
-        parity = np.bitwise_count(idx & np.uint64(string.mask())) & 1
-        out += coeff.real * np.where(parity, -1.0, 1.0)
+        out += coeff.real * _string_values([string.mask()], idx)[0]
     return out
 
 
@@ -452,6 +458,13 @@ def dump_state(s: StateVector, fh: BinaryIO) -> None:
 
 
 def load_state(fh: BinaryIO) -> StateVector:
-    (n,) = struct.unpack("<Q", fh.read(8))
-    amps = np.frombuffer(fh.read(16 * 2 ** n), dtype="<c16")
-    return StateVector(amps.astype(complex))
+    head = fh.read(8)
+    n = int.from_bytes(head, "little")
+    if len(head) < 8 or n > MAX_STATE_QUBITS:
+        raise ValueError(f"dump header {n} read from {len(head)} bytes is not "
+                         f"a qubit count of at most {MAX_STATE_QUBITS}")
+    raw = fh.read(16 * 2 ** n)
+    if len(raw) < 16 * 2 ** n:
+        raise ValueError(f"dump header names {n} qubits, {16 * 2 ** n} bytes "
+                         f"of amplitudes, but only {len(raw)} bytes were read")
+    return StateVector(np.frombuffer(raw, dtype="<c16").astype(complex))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .qemcmc import _check_counts, _metropolis
 from .statevector import SpinConfiguration, TFIMModel, _x_sum, all_spin_values
-from .vqe import EnergyEstimate
+from .vqe import EnergyEstimate, _ridge_solve
 
 TABLE_CAP = 20  # build full 2^L lookup tables up to this many sites
 
@@ -217,23 +217,22 @@ def metropolis_sample(a, M: int, burn_in: int | None = None,
 
 
 def estimate_energy_vmc(a, model: TFIMModel, M_vmc: int,
-                        rng: np.random.Generator,
-                        n_batches: int = 16) -> EnergyEstimate:
-    """Sample mean of E_L with a batch-means error bar."""
-    return estimate_energy_vmc_batch(a, model, M_vmc, 1, rng, n_batches)[0]
+                        rng: np.random.Generator) -> EnergyEstimate:
+    """Sample mean of E_L with a 16-batch-means error bar."""
+    return estimate_energy_vmc_batch(a, model, M_vmc, 1, rng)[0]
 
 
 def estimate_energy_vmc_batch(a, model: TFIMModel, M_vmc: int, n_reps: int,
-                              rng: np.random.Generator,
-                              n_batches: int = 16) -> list[EnergyEstimate]:
+                              rng: np.random.Generator) -> list[EnergyEstimate]:
     """n_reps independent repetitions run as parallel chains."""
+    _check_counts(1, M_vmc=M_vmc, n_reps=n_reps)
     idx = run_metropolis_chains(a, n_reps, M_vmc, default_burn_in(a.L),
                                 a.L, rng)
     table = local_energy_table(a, model)
     out = []
     for row in idx:
         e = table[row]
-        k = min(n_batches, M_vmc)
+        k = min(16, M_vmc)
         bm = np.array([b.mean() for b in np.array_split(e, k)])
         stderr = float(bm.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
         out.append(EnergyEstimate(mean=float(e.mean()), stderr=stderr,
@@ -275,10 +274,7 @@ def _sr_update(lam: np.ndarray, o: np.ndarray, e_loc: np.ndarray,
     o_mean = o.mean(axis=0)
     f = -2.0 * ((o * e_loc[:, None]).mean(axis=0) - o_mean * e_loc.mean())
     s = (o.T @ o) / o.shape[0] - np.outer(o_mean, o_mean)
-    if lam_reg is None:
-        lam_reg = 1e-3 * max(float(np.max(np.diag(s))), 1e-12)
-    move = np.linalg.solve(s + lam_reg * np.eye(s.shape[0]), f)
-    return lam + delta * move
+    return lam + delta * _ridge_solve(s, f, lam_reg)
 
 
 @dataclass(frozen=True)
@@ -291,41 +287,36 @@ class SRRun:
 def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
                         samples_per_step: int = 4096,
                         delta: float = 0.05,
-                        lam_reg: float | None = None,
-                        rng: np.random.Generator | None = None,
-                        n_chains: int = 64,
-                        tail_fraction: float = 0.25,
-                        initial: JastrowAnsatz | None = None) -> SRRun:
+                        rng: np.random.Generator | None = None) -> SRRun:
     """SR descent from lam = 0 with persistent parallel sampling chains.
 
-    Each step draws samples_per_step records spread over n_chains warm
-    chains, applies one sr_step, and logs the exact variational energy.
-    The returned parameters average the final tail_fraction of the history
-    to shave off the stochastic dither around the optimum.
+    Each step draws samples_per_step records spread over 64 warm chains,
+    applies one sr_step, and logs the exact variational energy.  The
+    returned parameters average the final quarter of the history to shave
+    off the stochastic dither around the optimum.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    a = initial if initial is not None else JastrowAnsatz(
-        model.L, (0.0,) * (model.L // 2))
+    a = JastrowAnsatz(model.L, (0.0,) * (model.L // 2))
     spins_all = all_spin_values(model.L)
-    per_chain = max(1, samples_per_step // n_chains)
-    state = rng.integers(0, 2 ** model.L, size=n_chains)
+    per_chain = max(1, samples_per_step // 64)
+    state = rng.integers(0, 2 ** model.L, size=64)
     energies = np.empty(n_steps)
     lam_hist = np.empty((n_steps, model.L // 2))
     burn = default_burn_in(model.L)
     for step in range(n_steps):
-        idx = run_metropolis_chains(a, n_chains, per_chain,
+        idx = run_metropolis_chains(a, 64, per_chain,
                                     burn if step == 0 else 2 * model.L * model.L,
                                     model.L, rng, initial=state)
         state = idx[:, -1].copy()
         flat = idx.reshape(-1)
         e_loc = local_energy_table(a, model)[flat]
         o = _log_derivative_matrix(a, spins_all[flat])
-        new_lam = _sr_update(np.asarray(a.lam), o, e_loc, delta, lam_reg)
+        new_lam = _sr_update(np.asarray(a.lam), o, e_loc, delta, None)
         a = a.with_lam(new_lam)
         lam_hist[step] = new_lam
         energies[step] = rayleigh_quotient(a, model)
-    tail = max(1, int(n_steps * tail_fraction))
+    tail = max(1, n_steps // 4)
     a_final = a.with_lam(lam_hist[-tail:].mean(axis=0))
     return SRRun(ansatz=a_final, energies=energies, lam_history=lam_hist)
 

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from .pauli import MeasurementGroups, PauliSum, group_qubitwise
+from .pauli import (MeasurementGroups, PauliSum, _string_values,
+                    group_qubitwise)
 from .statevector import (
     StateVector,
     SpinConfiguration,
@@ -154,13 +155,6 @@ class EnergyEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _string_values(string_masks: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """(n_strings, n_shots) array of +-1 string eigenvalues from bit parity."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    parity = np.bitwise_count(idx[None, :] & string_masks[:, None]) & 1
-    return 1.0 - 2.0 * parity
-
-
 def estimate_energy_pauli(s: StateVector, h: PauliSum,
                           groups: MeasurementGroups, plan: ShotPlan,
                           rng: np.random.Generator) -> EnergyEstimate:
@@ -231,8 +225,7 @@ def predicted_error(s: StateVector, h: PauliSum, plan: ShotPlan,
         weighted = np.zeros(idx.size)
         for i in grp:
             coeff, string = h.terms[i]
-            mask = np.array([string.mask()], dtype=np.uint64)
-            weighted += coeff.real * _string_values(mask, idx)[0]
+            weighted += coeff.real * _string_values([string.mask()], idx)[0]
         var += float(probs @ (weighted - probs @ weighted) ** 2) / m
     return float(np.sqrt(var))
 
@@ -285,13 +278,12 @@ def _minimize_once(a: HVAnsatz, h: PauliSum, x0: np.ndarray, method: str,
 def optimize_noiseless(a: HVAnsatz, method: str = "quasi-newton",
                        restarts: int = 8,
                        rng: np.random.Generator | None = None,
-                       max_iter: int = 50_000,
-                       init_scale: float = 0.1) -> VQEResult:
+                       max_iter: int = 50_000) -> VQEResult:
     """Multi-restart shot-free minimization of <H> over the ansatz angles.
 
     The incoming parameter point always competes with the random restarts,
     so the result never sits above the initial energy.  Restart angles are
-    uniform in [-init_scale, init_scale].
+    uniform in [-0.1, 0.1].
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -300,8 +292,7 @@ def optimize_noiseless(a: HVAnsatz, method: str = "quasi-newton",
         raise ValueError(f"unknown method {method!r}")
     h = a.model.as_pauli_sum()
     starts = [np.asarray(a.params)]
-    starts += [rng.uniform(-init_scale, init_scale, a.n_params)
-               for _ in range(restarts)]
+    starts += [rng.uniform(-0.1, 0.1, a.n_params) for _ in range(restarts)]
     best_x, best_e, best_ok, best_nit = None, np.inf, False, 0
     for x0 in starts:
         x, e, ok, nit = _minimize_once(a, h, x0, scipy_method, max_iter)
@@ -395,16 +386,21 @@ def sr_matrix(a: HVAnsatz, block_size: int | None = None) -> SRMatrix:
     return SRMatrix(s)
 
 
+def _ridge_solve(s: np.ndarray, rhs: np.ndarray,
+                 lam_reg: float | None) -> np.ndarray:
+    """(S + lam I)^{-1} rhs; lam_reg None takes 1e-3 of S's largest diagonal."""
+    if lam_reg is None:
+        lam_reg = 1e-3 * max(float(np.max(np.diag(s))), 1e-12)
+    return np.linalg.solve(s + lam_reg * np.eye(s.shape[0]), rhs)
+
+
 def natural_gradient_step(a: HVAnsatz, delta: float,
-                          lam_reg: float | None = None,
-                          block_size: int | None = None) -> HVAnsatz:
+                          lam_reg: float | None = None) -> HVAnsatz:
     """theta' = theta - delta (S + lam I)^{-1} grad<H> (descent direction)."""
     h = a.model.as_pauli_sum()
     _, grad = energy_and_gradient(a, h)
-    s = sr_matrix(a, block_size=block_size).entries
-    if lam_reg is None:
-        lam_reg = 1e-3 * max(float(np.max(np.diag(s))), 1e-12)
-    move = np.linalg.solve(s + lam_reg * np.eye(s.shape[0]), grad)
+    s = sr_matrix(a).entries
+    move = _ridge_solve(s, grad, lam_reg)
     return a.with_params(np.asarray(a.params) - delta * move)
 
 
@@ -449,18 +445,16 @@ def amplitude_ratio_estimate(s: StateVector, x: SpinConfiguration,
 
 def shots_for_ratio_precision(s: StateVector, x: SpinConfiguration,
                               x_new: SpinConfiguration, rel_target: float,
-                              rng: np.random.Generator,
-                              m_start: int = 64,
-                              m_cap: int = 10 ** 8) -> int:
+                              rng: np.random.Generator) -> int:
     """Smallest power-of-two shot count whose ratio stderr is on target.
 
-    Doubles M until stderr/ratio <= rel_target with a defined, nonzero
-    estimate; returns the first sufficient M (or m_cap if never reached).
+    Doubles M from 64 until stderr/ratio <= rel_target with a defined,
+    nonzero estimate; returns the first sufficient M, or 10^8 if none is.
     """
-    m = m_start
-    while m <= m_cap:
+    m = 64
+    while m <= 10 ** 8:
         est = amplitude_ratio_estimate(s, x, x_new, m, rng)
         if est.defined and est.ratio > 0 and est.stderr / est.ratio <= rel_target:
             return m
         m *= 2
-    return m_cap
+    return 10 ** 8

@@ -4,9 +4,14 @@ The digests below are sha256 prefixes of raw ``tobytes()`` output, recorded
 from the 8-op rotation loop and the 2-add ``_x_sum`` that are kept here as
 ``_rotate_qubits_ref`` and ``_x_sum_ref``.  They cover the HVA gradient,
 ``prepare``, ``sr_matrix``, ``apply_exp_x``, ``rotate_to_basis``, Trotter
-evolution, the Trotter proposal columns, the VMC local-energy table and the
-grouped shot-noise estimator, over L = 1, 2, 5, 8, 10 and three (J, Gamma,
-periodic) models.  The layer-by-layer references in ``test_vqe.py`` call
+evolution, the Trotter proposal columns, the VMC local-energy table, the
+grouped shot-noise estimator, ``diagonal_values``, ``PauliSum.dense`` on a
+sum with Y letters and both SR ridge solves (``natural_gradient_step`` and
+``vmc._sr_update``), over L = 1, 2, 5, 8, 10 and three (J, Gamma, periodic)
+models.  ``PROPOSAL_DIGESTS`` pins the quantum proposal's draws on each of
+its four propagators, and ``_sample_columns_ref`` keeps the per-column
+inverse-CDF sampler that the proposal once had, as the reference for its
+draw.  The layer-by-layer references in ``test_vqe.py`` call
 ``apply_exp_x`` and so run the kernel under test; these digests do not, so
 a change that moves one bit of any rotation shows here.  Run this file as a
 script to print the digests of the code as it stands.
@@ -17,14 +22,18 @@ import hashlib
 import numpy as np
 import pytest
 
+from spinlab import qemcmc
 from spinlab.pauli import PauliString, PauliSum, group_qubitwise
-from spinlab.qemcmc import _trotter_columns
+from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
+                            _quantum_step, _trotter_columns, energy_table,
+                            spin_glass_instance)
 from spinlab.statevector import (_BASIS_ROT, StateVector, TFIMModel,
                                  _rotate_qubits, _x_gate, _x_sum, apply_exp_x,
-                                 evolve, rotate_to_basis)
-from spinlab.vmc import AmplitudeTableAnsatz, local_energy_table
+                                 diagonal_values, evolve, rotate_to_basis)
+from spinlab.vmc import AmplitudeTableAnsatz, _sr_update, local_energy_table
 from spinlab.vqe import (HVAnsatz, ShotPlan, energy_and_gradient,
-                         estimate_energy_pauli, prepare, sr_matrix)
+                         estimate_energy_pauli, natural_gradient_step,
+                         prepare, sr_matrix)
 
 SIZES = (1, 2, 5, 8, 10)
 MODELS = ((1.0, 1.0, True), (0.8, 1.3, True), (-0.6, 0.4, False))
@@ -68,11 +77,22 @@ def _ansatz(model: TFIMModel) -> HVAnsatz:
     return HVAnsatz(model, 3, tuple(rng.uniform(-1.5, 1.5, 6)))
 
 
-def _mixed_sum(L: int) -> PauliSum:
+def _sample_columns_ref(probs, rng):
+    """One categorical draw per column of a (dim, n) probability array."""
+    cum = np.cumsum(probs, axis=0)
+    cum /= cum[-1, :]
+    u = rng.random(probs.shape[1])
+    out = np.empty(probs.shape[1], dtype=np.int64)
+    for c in range(probs.shape[1]):
+        out[c] = np.searchsorted(cum[:, c], u[c], side="right")
+    return out
+
+
+def _mixed_sum(L: int, letters: str = "IXYZ", seed: int = 2000) -> PauliSum:
     """A Hermitian sum over X, Y and Z strings, so Y-basis groups occur."""
-    rng = np.random.default_rng(2000 + L)
+    rng = np.random.default_rng(seed + L)
     terms = [(complex(rng.normal()), PauliString(
-        "".join(rng.choice(list("IXYZ"), size=L)))) for _ in range(3 * L)]
+        "".join(rng.choice(list(letters), size=L)))) for _ in range(3 * L)]
     return PauliSum.from_terms(L, terms)
 
 
@@ -139,6 +159,31 @@ def _estimate_energy_pauli(model):
     return (np.array(out),)
 
 
+def _diagonal_values(model):
+    zz = [(c, s) for c, s in model.as_pauli_sum().terms if "X" not in s.letters]
+    return (diagonal_values(PauliSum.from_terms(model.L, zz)),
+            diagonal_values(_mixed_sum(model.L, "IZ", 4000)))
+
+
+def _pauli_dense(model):
+    return ((model.as_pauli_sum() + _mixed_sum(model.L)).dense(),)
+
+
+def _natural_gradient_step(model):
+    a = _ansatz(model)
+    return tuple(np.array(natural_gradient_step(a, 0.3, lam_reg=lam).params)
+                 for lam in (None, 0.05))
+
+
+def _sr_update_kernel(model):
+    rng = np.random.default_rng(5000 + model.L)
+    o = rng.integers(-model.L, model.L + 1,
+                     size=(64 * model.L, max(1, model.L // 2))).astype(float)
+    e_loc = model.J * rng.normal(size=o.shape[0]) - model.Gamma
+    lam = rng.normal(size=o.shape[1])
+    return tuple(_sr_update(lam, o, e_loc, 0.05, reg) for reg in (None, 0.01))
+
+
 KERNELS = {
     "energy_and_gradient": _energy_and_gradient,
     "prepare": _prepare,
@@ -149,6 +194,10 @@ KERNELS = {
     "trotter_columns": _trotter_proposal,
     "local_energy_table": _local_energy_table,
     "estimate_energy_pauli": _estimate_energy_pauli,
+    "diagonal_values": _diagonal_values,
+    "pauli_dense": _pauli_dense,
+    "natural_gradient_step": _natural_gradient_step,
+    "sr_update": _sr_update_kernel,
 }
 
 
@@ -304,6 +353,66 @@ DIGESTS = {
     'estimate_energy_pauli-L10-J1.0-G1.0-pbc': 'cf25e410bddc46b5',
     'estimate_energy_pauli-L10-J0.8-G1.3-pbc': '11e23a4db2966983',
     'estimate_energy_pauli-L10-J-0.6-G0.4-obc': 'f53bada34f432acf',
+    'diagonal_values-L1-J1.0-G1.0-pbc': '1b0619fb070f8517',
+    'diagonal_values-L1-J0.8-G1.3-pbc': 'd0262e2c4d414d46',
+    'diagonal_values-L1-J-0.6-G0.4-obc': 'af5261a6ccc4fb8c',
+    'diagonal_values-L2-J1.0-G1.0-pbc': '3ccfe1278b7ed8e4',
+    'diagonal_values-L2-J0.8-G1.3-pbc': 'b2d91dfb8ddbc877',
+    'diagonal_values-L2-J-0.6-G0.4-obc': '9a2d3e0b1ab43a26',
+    'diagonal_values-L5-J1.0-G1.0-pbc': '89fea147a0d323aa',
+    'diagonal_values-L5-J0.8-G1.3-pbc': 'a1e55d438388da91',
+    'diagonal_values-L5-J-0.6-G0.4-obc': 'b74fcb1b68a8ce2e',
+    'diagonal_values-L8-J1.0-G1.0-pbc': '05924d755124d821',
+    'diagonal_values-L8-J0.8-G1.3-pbc': '4de2afcbeb50525c',
+    'diagonal_values-L8-J-0.6-G0.4-obc': 'fdffdf4ac833e762',
+    'diagonal_values-L10-J1.0-G1.0-pbc': 'cd2b72d3addc7bc8',
+    'diagonal_values-L10-J0.8-G1.3-pbc': 'cdad533e2f04988b',
+    'diagonal_values-L10-J-0.6-G0.4-obc': '6f36b0d0a9c24c6b',
+    'pauli_dense-L1-J1.0-G1.0-pbc': '5e5d476ea4b563b7',
+    'pauli_dense-L1-J0.8-G1.3-pbc': 'ba338ab3390315bb',
+    'pauli_dense-L1-J-0.6-G0.4-obc': '1bf140286e9bef1a',
+    'pauli_dense-L2-J1.0-G1.0-pbc': '2e3ecce9aebf8c64',
+    'pauli_dense-L2-J0.8-G1.3-pbc': 'ebc844b7f4c0abff',
+    'pauli_dense-L2-J-0.6-G0.4-obc': '7cae761a6826781f',
+    'pauli_dense-L5-J1.0-G1.0-pbc': '6ea159eeceb24da9',
+    'pauli_dense-L5-J0.8-G1.3-pbc': '079651823b1a452d',
+    'pauli_dense-L5-J-0.6-G0.4-obc': '22f1f466a675e2f0',
+    'pauli_dense-L8-J1.0-G1.0-pbc': 'e46ccd201735dfb2',
+    'pauli_dense-L8-J0.8-G1.3-pbc': '5723bfbf540a3cf6',
+    'pauli_dense-L8-J-0.6-G0.4-obc': '77cb2ef06547782a',
+    'pauli_dense-L10-J1.0-G1.0-pbc': '4e3fc21d9f41364f',
+    'pauli_dense-L10-J0.8-G1.3-pbc': 'dcf4d6ea298e69ce',
+    'pauli_dense-L10-J-0.6-G0.4-obc': '6a2ee1a804548c20',
+    'natural_gradient_step-L1-J1.0-G1.0-pbc': 'b89ffdcd1d33c733',
+    'natural_gradient_step-L1-J0.8-G1.3-pbc': 'c12bb64a9b3874e2',
+    'natural_gradient_step-L1-J-0.6-G0.4-obc': '44f6f7856822cc43',
+    'natural_gradient_step-L2-J1.0-G1.0-pbc': 'bcab8462c1128703',
+    'natural_gradient_step-L2-J0.8-G1.3-pbc': 'fcacc389a74eba10',
+    'natural_gradient_step-L2-J-0.6-G0.4-obc': '707f94f6f3361ba4',
+    'natural_gradient_step-L5-J1.0-G1.0-pbc': '8beb650442e5f902',
+    'natural_gradient_step-L5-J0.8-G1.3-pbc': '3ebcf0fdd29a1273',
+    'natural_gradient_step-L5-J-0.6-G0.4-obc': 'a82fdbb4cb9d01e0',
+    'natural_gradient_step-L8-J1.0-G1.0-pbc': 'ea904031b33722c5',
+    'natural_gradient_step-L8-J0.8-G1.3-pbc': 'a7776a7be63e5eb3',
+    'natural_gradient_step-L8-J-0.6-G0.4-obc': 'b8363c0a82f65b53',
+    'natural_gradient_step-L10-J1.0-G1.0-pbc': 'c674265705df65ea',
+    'natural_gradient_step-L10-J0.8-G1.3-pbc': '66a95852baf1c2fd',
+    'natural_gradient_step-L10-J-0.6-G0.4-obc': '3176d636df6695f1',
+    'sr_update-L1-J1.0-G1.0-pbc': '889f10329301465c',
+    'sr_update-L1-J0.8-G1.3-pbc': '39ca482b7ac6a037',
+    'sr_update-L1-J-0.6-G0.4-obc': '5dc258786cd83faa',
+    'sr_update-L2-J1.0-G1.0-pbc': 'd829aac2dccd5e6d',
+    'sr_update-L2-J0.8-G1.3-pbc': '8836f550ca82f061',
+    'sr_update-L2-J-0.6-G0.4-obc': '4b4a42c394b560e6',
+    'sr_update-L5-J1.0-G1.0-pbc': '10ea4f9fc10b0c57',
+    'sr_update-L5-J0.8-G1.3-pbc': '816092b9b9b8c283',
+    'sr_update-L5-J-0.6-G0.4-obc': 'd7b0fe26b0ac6909',
+    'sr_update-L8-J1.0-G1.0-pbc': 'e4de1a458b6d2bf4',
+    'sr_update-L8-J0.8-G1.3-pbc': '89a5dafe0e5354af',
+    'sr_update-L8-J-0.6-G0.4-obc': '120349a8caf67529',
+    'sr_update-L10-J1.0-G1.0-pbc': '2bb316b4826a155d',
+    'sr_update-L10-J0.8-G1.3-pbc': 'd995516046a110c3',
+    'sr_update-L10-J-0.6-G0.4-obc': 'bed370edf1c14ca4',
 }
 
 
@@ -311,6 +420,89 @@ DIGESTS = {
                          ids=[_case_id(*c) for c in _cases()])
 def test_kernel_output_is_pinned(case):
     assert _kernel_digest(*case) == DIGESTS[_case_id(*case)]
+
+
+# (L, random fields, evolution): sector and Chebyshev need zero fields, and
+# L = 9 is CHEBYSHEV_MIN_QUBITS
+_PROPAGATORS = {"sector": (6, False, "exact"), "dense": (5, True, "exact"),
+                "chebyshev": (9, False, "exact"),
+                "trotter": (6, True, "trotter")}
+
+
+def _proposal_cases():
+    for propagator in _PROPAGATORS:
+        for n_chains in (1, 4):
+            for mix in (0.0, 0.3):
+                yield propagator, n_chains, mix
+
+
+def _proposal_id(propagator, n_chains, mix):
+    return f"{propagator}-c{n_chains}-mix{mix}"
+
+
+def _proposal_digest(propagator, n_chains, mix):
+    """Three chained _quantum_step draws from fixed start indices."""
+    L, fields, evolution = _PROPAGATORS[propagator]
+    rng = np.random.default_rng(6000 + L)
+    glass = spin_glass_instance(L, rng)
+    h = rng.normal(size=L) if fields else np.zeros(L)
+    v = energy_table(ClassicalSpinModel(L, glass.couplings, h))
+    cfg = QuantumProposalConfig(gamma_range=(0.2, 1.0), evolution=evolution,
+                                mix_single_flip=mix)
+    idx = np.arange(n_chains) * 5 % 2 ** L
+    step_rng = np.random.default_rng(n_chains + int(10 * mix))
+    draws = []
+    for _ in range(3):
+        idx = _quantum_step(v, cfg, idx, step_rng)
+        draws.append(idx)
+    return _digest(*draws)
+
+
+PROPOSAL_DIGESTS = {
+    'sector-c1-mix0.0': '7dd74dee73c56879',
+    'sector-c1-mix0.3': '1840bd6fb8b1b622',
+    'sector-c4-mix0.0': '60b31918420d992f',
+    'sector-c4-mix0.3': '7242c4df8963f05a',
+    'dense-c1-mix0.0': '9d908ecfb6b256de',
+    'dense-c1-mix0.3': '2885b81c3faacb3f',
+    'dense-c4-mix0.0': 'cda52f65d2948b81',
+    'dense-c4-mix0.3': 'd2bf3cbfb65049e9',
+    'chebyshev-c1-mix0.0': 'cdab78387da8cf9c',
+    'chebyshev-c1-mix0.3': '4578316ce936e017',
+    'chebyshev-c4-mix0.0': '9c0f525f0e0123c8',
+    'chebyshev-c4-mix0.3': 'c9813246b4225e19',
+    'trotter-c1-mix0.0': 'f28a2971178415ac',
+    'trotter-c1-mix0.3': '429454e97fb61cac',
+    'trotter-c4-mix0.0': 'ed49bad5e3b91288',
+    'trotter-c4-mix0.3': 'a19f882e8a46cde2',
+}
+
+
+@pytest.mark.parametrize("case", list(_proposal_cases()),
+                         ids=[_proposal_id(*c) for c in _proposal_cases()])
+def test_quantum_step_draws_are_pinned(case):
+    assert _proposal_digest(*case) == PROPOSAL_DIGESTS[_proposal_id(*case)]
+
+
+def test_quantum_step_draw_matches_reference_sampler(monkeypatch):
+    """Columns with zero entries, including leading and trailing zeros, drawn
+    through _quantum_step and through _sample_columns_ref on the same stream."""
+    rng = np.random.default_rng(70)
+    cfg = QuantumProposalConfig(gamma_range=(0.1, 0.5), evolution="trotter")
+    for trial in range(3000):
+        L, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        probs = rng.random((2 ** L, n))
+        probs[rng.random(probs.shape) < 0.4] = 0.0
+        probs[[0, -1], :] *= rng.random(2)[:, None] < 0.5
+        probs[rng.integers(0, 2 ** L), :] += 0.25  # every column nonzero
+        cols = np.sqrt(probs)
+        monkeypatch.setattr(qemcmc, "_trotter_columns", lambda *args: cols)
+        got = _quantum_step(np.zeros(2 ** L), cfg, np.zeros(n, dtype=np.int64),
+                            np.random.default_rng(trial))
+        ref_rng = np.random.default_rng(trial)
+        cfg.draw(ref_rng)
+        want = _sample_columns_ref(np.abs(cols) ** 2, ref_rng)
+        assert got.dtype == want.dtype and np.array_equal(got, want), trial
 
 
 def _gates():
@@ -358,3 +550,6 @@ def test_x_sum_matches_two_add_form_bitwise(n):
 if __name__ == "__main__":
     for case in _cases():
         print(f"    {_case_id(*case)!r}: {_kernel_digest(*case)!r},")
+    print()
+    for case in _proposal_cases():
+        print(f"    {_proposal_id(*case)!r}: {_proposal_digest(*case)!r},")

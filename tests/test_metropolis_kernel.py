@@ -243,8 +243,9 @@ def test_run_metropolis_chains_rejects_bad_counts(args, name):
     ({"n_chains": 0}, "n_chains"),
     ({"record_every": 0}, "record_every"),
     ({"record_every": -2}, "record_every"),
+    ({"record_every": 20}, "record_every"),
 ], ids=["zero-steps", "zero-chains", "zero-record-every",
-        "negative-record-every"])
+        "negative-record-every", "record-every-above-steps"])
 def test_run_chain_rejects_bad_counts(proposal, kwargs, name):
     model = ferromagnetic_chain(4)
     if proposal == "quantum":

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from spinlab import statevector
 from spinlab.pauli import PauliString, PauliSum
 from spinlab.statevector import (
     CapacityError,
@@ -110,6 +111,20 @@ class TestLayers:
     def test_init_plus_capacity(self):
         with pytest.raises(CapacityError):
             init_plus(27)
+
+    @pytest.mark.parametrize("index", [-1, 8, 9])
+    def test_basis_state_rejects_out_of_range_index(self, index):
+        with pytest.raises(IndexError,
+                           match=rf"basis index {index} out of range"):
+            basis_state(3, index)
+
+    def test_basis_state_capacity(self, monkeypatch):
+        # a lowered ceiling keeps the over-cap register small
+        monkeypatch.setattr(statevector, "MAX_STATE_QUBITS", 3)
+        with pytest.raises(CapacityError):
+            basis_state(4, 0)
+        with pytest.raises(ValueError, match="at least one qubit"):
+            basis_state(0, 0)
 
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(11)
@@ -568,3 +583,21 @@ class TestDump:
         raw = buf.getvalue()
         assert raw[:8] == (2).to_bytes(8, "little")
         assert len(raw) == 8 + 4 * 16
+
+    def test_truncated_amplitudes_rejected(self):
+        raw = (3).to_bytes(8, "little") + np.zeros(4, "<c16").tobytes()
+        with pytest.raises(ValueError, match=r"\b3 qubits.* 64 bytes"):
+            load_state(io.BytesIO(raw))
+
+    def test_header_above_ceiling_rejected_before_reading(self):
+        sizes = []
+
+        class Recording(io.BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        raw = (60).to_bytes(8, "little") + np.ones(2, "<c16").tobytes()
+        with pytest.raises(ValueError, match=r"header 60 read from 8 bytes"):
+            load_state(Recording(raw))
+        assert sizes == [8]

@@ -8,6 +8,7 @@ from spinlab.statevector import (SpinConfiguration, TFIMModel,
                                  all_spin_values, ground_state)
 from spinlab.vmc import (AmplitudeTableAnsatz, GaussianToy, JastrowAnsatz,
                          LocalEnergyRecord, estimate_energy_vmc,
+                         estimate_energy_vmc_batch,
                          gaussian_local_energy, harmonic_local_energy,
                          local_energy_records, local_energy_table,
                          local_energy_tfim, log_derivatives,
@@ -268,6 +269,18 @@ class TestEstimateEnergyVMC:
         assert all(rels[i] < rels[i + 1] for i in range(len(rels) - 1))
         assert rels[0] < 2e-3
         assert rels[-1] > 0.1
+
+    @pytest.mark.parametrize("m,reps,name", [(0, 1, "M_vmc"),
+                                             (-3, 2, "M_vmc"),
+                                             (10, 0, "n_reps")])
+    def test_batch_rejects_bad_counts(self, m, reps, name):
+        a, model = JastrowAnsatz(4, (0.1, 0.2)), TFIMModel(L=4)
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            estimate_energy_vmc_batch(a, model, m, reps,
+                                      np.random.default_rng(0))
+        if reps == 1:
+            with pytest.raises(ValueError, match=rf"\b{name}\b"):
+                estimate_energy_vmc(a, model, m, np.random.default_rng(0))
 
     def test_stderr_shrinks_with_more_samples(self):
         model = TFIMModel(L=10)
