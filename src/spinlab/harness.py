@@ -111,7 +111,8 @@ class Param(NamedTuple):
     """One config key: its type, its default, whether it takes a list, and
     the values it allows, if only some are.  A list's values must be
     distinct, because each names derived seeds in the manifest, unless
-    ``distinct`` is off; ``anycase`` matches the choices ignoring case."""
+    ``distinct`` is off; ``anycase`` matches the choices ignoring case, and
+    a count takes no value below ``low``."""
     key: str
     kind: type
     default: object
@@ -119,6 +120,7 @@ class Param(NamedTuple):
     choices: tuple = ()
     distinct: bool = True
     anycase: bool = False
+    low: int | None = None
 
 
 # What each declared type accepts before the cast; bools are always refused.
@@ -153,6 +155,9 @@ def _resolve_value(p: Param, value):
         if p.choices and (v.lower() if p.anycase else v) not in p.choices:
             raise ValueError(f"config key {p.key!r}: unknown value {v!r}; "
                              f"{_hint(v, p.choices)}")
+        if p.low is not None and v < p.low:
+            raise ValueError(f"config key {p.key!r}: {v!r} is below the "
+                             f"least allowed value {p.low}")
         if p.distinct and v in out:
             raise ValueError(f"config key {p.key!r}: {v!r} is given twice")
         out.append(v)
@@ -354,8 +359,9 @@ def _vmc_cell(a: JastrowAnsatz, model: TFIMModel, m: int, reps: int,
 
 @_experiment("fig2", _TFIM + _OPTIMIZER + _JASTROW + (
     Param("depths", int, (12, 16, 20, 24), many=True),
-    Param("shots", int, (100, 1000, 100000), many=True),
-    Param("repetitions", int, 100)))
+    Param("shots", int, (100, 1000, 100000), many=True, low=1),
+    # each cell's spread is a ddof=1 std over the repetitions
+    Param("repetitions", int, 100, low=2)))
 def fig2_experiment(cfg: dict, master_seed: int, threads: int):
     """Standard deviation of both estimators against exact ansatz quality.
 
@@ -431,9 +437,9 @@ def _instance_for(kind: str, L: int, seed: int) -> ClassicalSpinModel:
     Param("L_list", int, (4, 6), many=True),
     Param("beta_list", float, (1.0, 2.0), many=True),
     _PROPOSALS,
-    Param("instances", int, 5),
-    Param("K", int, 32),
-    Param("steps", int, 4000),
+    Param("instances", int, 5, low=1),
+    Param("K", int, 32, low=1),
+    Param("steps", int, 4000, low=1),
     Param("ensemble", str, "fully-connected", choices=_ENSEMBLES)))
 def gap_sweep(cfg: dict, master_seed: int, threads: int):
     """Exact kernel gaps plus sampled chain diagnostics over a grid."""
@@ -476,8 +482,8 @@ def gap_sweep(cfg: dict, master_seed: int, threads: int):
 
 @_experiment("vqe-run", _VQE_MODEL + (
     Param("depth", int, 12),
-    Param("shots_per_group", int, 1000),
-    Param("repetitions", int, 100)) + _OPTIMIZER)
+    Param("shots_per_group", int, 1000, low=1),
+    Param("repetitions", int, 100, low=1)) + _OPTIMIZER)
 def vqe_run(cfg: dict, master_seed: int, threads: int):
     """Optimize one circuit depth, then repeat its shot-noise estimate."""
     model = TFIMModel(L=cfg["model.L"], J=cfg["model.J"],
@@ -511,9 +517,9 @@ def vqe_run(cfg: dict, master_seed: int, threads: int):
 
 @_experiment("vmc-run", _TFIM + _JASTROW + (
     Param("mode", str, "sweep", choices=("sweep", "sr")),
-    Param("samples", int, (100, 1000, 100000), many=True),
-    Param("sr_steps", int, 200),
-    Param("samples_per_step", int, 4096),
+    Param("samples", int, (100, 1000, 100000), many=True, low=1),
+    Param("sr_steps", int, 200, low=1),
+    Param("samples_per_step", int, 4096, low=1),
     Param("delta", float, 0.05)))
 def vmc_run(cfg: dict, master_seed: int, threads: int):
     """SR from lam = 0 (``mode = sr``) or the ansatz-quality sweep."""
@@ -558,8 +564,8 @@ def vmc_run(cfg: dict, master_seed: int, threads: int):
     Param("ensemble", str, "ferromagnet", choices=_ENSEMBLES),
     Param("instance", str, None),
     Param("beta", float, 2.0),
-    Param("steps", int, 20000),
-    Param("chains", int, 4),
+    Param("steps", int, 20000, low=1),
+    Param("chains", int, 4, low=1),
     _PROPOSALS))
 def qemcmc_run(cfg: dict, master_seed: int, threads: int):
     """Sampled chains of each proposal on one generated or loaded model."""

@@ -18,6 +18,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 COEFF_CUTOFF = 1e-12
 
@@ -197,16 +198,42 @@ class PauliSum:
                 out.append((ca * cb * ph, s))
         return PauliSum.from_terms(self.n_qubits, out)
 
+    def _flip_blocks(self) -> dict[int, np.ndarray]:
+        """Entries by flip mask f: ``out[f][j] = <j ^ f|H|j>``, the terms
+        summed in order from zero."""
+        idx = np.arange(2 ** self.n_qubits, dtype=np.uint64)
+        out: dict[int, np.ndarray] = {}
+        for coeff, string in self.terms:
+            rows, phase = _bit_action(string, idx)
+            # rows = idx ^ flip, and idx[0] = 0
+            block = out.setdefault(int(rows[0]), np.zeros(idx.size, complex))
+            block += coeff * phase
+        return out
+
     def dense(self) -> np.ndarray:
-        """Dense matrix, one scatter-add of 2^n nonzeros per term."""
+        """Dense matrix, one scatter of 2^n nonzeros per flip mask."""
         dim = 2 ** self.n_qubits
         idx = np.arange(dim, dtype=np.uint64)
         mat = np.zeros((dim, dim), dtype=complex)
         flat = mat.reshape(-1)
-        for coeff, string in self.terms:
-            rows, phase = _bit_action(string, idx)
-            flat[rows * np.uint64(dim) + idx] += coeff * phase
+        for flip, block in self._flip_blocks().items():
+            flat[(idx ^ np.uint64(flip)) * np.uint64(dim) + idx] = block
         return mat
+
+    def sparse(self) -> scipy.sparse.csr_array:
+        """The entries of :meth:`dense` as a CSR matrix, real when none of
+        them has an imaginary part."""
+        dim = 2 ** self.n_qubits
+        idx = np.arange(dim, dtype=np.uint64)
+        blocks = self._flip_blocks() or {0: np.zeros(dim, complex)}
+        data = np.concatenate(list(blocks.values()))
+        if not data.imag.any():
+            data = data.real
+        rows = np.concatenate([idx ^ np.uint64(f) for f in blocks])
+        cols = np.tile(idx, len(blocks))
+        return scipy.sparse.csr_array(
+            (data, (rows.astype(np.intp), cols.astype(np.intp))),
+            shape=(dim, dim))
 
 
 def one_norm(h: PauliSum) -> float:

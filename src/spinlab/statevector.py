@@ -2,8 +2,8 @@
 
 Provides circuit layers for the transverse-field Ising chain, expectation
 values of Pauli sums, projective Z-basis sampling, exact diagonalization,
-and real-time evolution.  Everything is capped at desk scale: 26 qubits for
-vectors, 12 for dense matrices.
+Lanczos ground states, and real-time evolution.  Everything is capped at
+desk scale: 26 qubits for vectors, 12 for dense and sparse matrices.
 
 Every single-qubit gate runs through ``_rotate_qubits``, which takes a
 symmetric gate such as an X rotation in three in-place ufunc calls per qubit
@@ -23,6 +23,8 @@ from functools import lru_cache
 from typing import BinaryIO, Sequence
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .pauli import PauliString, PauliSum, _bit_action, _string_values
 
@@ -365,29 +367,62 @@ def rotate_to_basis(s: StateVector, basis: str) -> StateVector:
     return StateVector(amps)
 
 
-def exact_spectrum(h: PauliSum, k: int = 1) -> list[tuple[float, StateVector]]:
-    """k lowest eigenpairs of the dense Hermitian matrix, ascending.
+def _check_hermitian(h: PauliSum) -> None:
+    """from_terms merges repeated strings, and distinct Pauli strings are
+    linearly independent Hermitian matrices, so the sum is Hermitian exactly
+    when every coefficient is real."""
+    if not h.coefficients_real():
+        raise ValueError("sum is not Hermitian")
 
-    Eigenvector signs are fixed so the first amplitude above 1e-8 in
-    magnitude is positive real.
-    """
+
+def _sign_fixed(v: np.ndarray) -> StateVector:
+    """v scaled so its first amplitude above 1e-8 in magnitude is positive
+    real."""
+    nz = np.flatnonzero(np.abs(v) > 1e-8)[0]
+    return StateVector(v * (np.abs(v[nz]) / v[nz]))
+
+
+def exact_spectrum(h: PauliSum, k: int = 1) -> list[tuple[float, StateVector]]:
+    """k lowest eigenpairs of the dense Hermitian matrix, ascending, with
+    ``_sign_fixed`` eigenvectors."""
     if h.n_qubits > MAX_DENSE_QUBITS:
         raise CapacityError(f"dense spectrum capped at {MAX_DENSE_QUBITS} qubits")
-    mat = h.dense()
-    if not np.allclose(mat, mat.conj().T, atol=1e-10):
-        raise ValueError("sum is not Hermitian")
-    vals, vecs = np.linalg.eigh(mat)
-    pairs = []
-    for i in range(min(k, vals.size)):
-        v = vecs[:, i]
-        nz = np.flatnonzero(np.abs(v) > 1e-8)[0]
-        v = v * (np.abs(v[nz]) / v[nz])
-        pairs.append((float(vals[i]), StateVector(v)))
-    return pairs
+    _check_hermitian(h)
+    vals, vecs = np.linalg.eigh(h.dense())
+    return [(float(vals[i]), _sign_fixed(vecs[:, i]))
+            for i in range(min(k, vals.size))]
 
 
 def ground_state(h: PauliSum) -> tuple[float, StateVector]:
-    return exact_spectrum(h, 1)[0]
+    """Lowest eigenpair by Lanczos (ARPACK ``eigsh``) on ``h.sparse()``.
+
+    A complex H = A + iB runs as the real symmetric [[A, -B], [B, A]], whose
+    spectrum is H's with every level doubled; its eigenvector (x, y) is
+    x + iy here.  The start vector is a fixed uniform draw: runs repeat, and
+    unlike a constant vector it has weight in every symmetry sector (from
+    all ones, an open L = 9 chain with Gamma < 0 converged to the wrong
+    parity).  E0 is the eigenvector's Rayleigh quotient, which lies closer
+    to the dense ``eigh`` value than ARPACK's Ritz value; the eigenvector
+    takes ``exact_spectrum``'s sign rule.  In a degenerate ground level it
+    is some unit vector of that level, not always the dense one.
+    """
+    if h.n_qubits > MAX_DENSE_QUBITS:
+        raise CapacityError(f"ground state capped at {MAX_DENSE_QUBITS} qubits")
+    _check_hermitian(h)
+    if not h.terms:  # H = 0, and ARPACK stops on H v0 = 0
+        return 0.0, basis_state(h.n_qubits, 0)
+    mat = h.sparse()
+    dim = mat.shape[0]
+    if np.iscomplexobj(mat.data):
+        mat = scipy.sparse.bmat([[mat.real, -mat.imag], [mat.imag, mat.real]],
+                                format="csr")
+    v0 = np.random.default_rng(0).random(mat.shape[0])
+    _, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", v0=v0)
+    v = vecs[:, 0]
+    e0 = float(v @ (mat @ v)) / float(v @ v)
+    if v.size > dim:
+        v = v[:dim] + 1j * v[dim:]
+    return e0, _sign_fixed(v)
 
 
 def _split_diagonal_x(h: PauliSum) -> tuple[PauliSum, PauliSum]:

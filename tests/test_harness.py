@@ -191,9 +191,12 @@ class TestResolveConfig:
         ("vmc-run", {"L": 4, "mode": "sweep"}, "jastrow_tail"),
         ("fig2", {"L": 6, "jastrow_tail": [0.05]}, "jastrow_tail"),
         ("vmc-run", {"L": 5, "mode": "sr"}, "L"),
+        ("fig2", {"repetitions": 1}, "repetitions"),
+        ("vmc-run", {"mode": "sweep", "samples": [100, 0]}, "samples"),
     ], ids=["mode", "proposal-name", "proposal-repeated", "gap-ensemble",
             "qemcmc-ensemble", "vqe-method", "fig2-method",
-            "vmc-tail-length", "fig2-tail-length", "vmc-odd-L"])
+            "vmc-tail-length", "fig2-tail-length", "vmc-odd-L",
+            "fig2-one-repetition", "vmc-zero-samples"])
     def test_choice_checked_before_any_work(self, experiment, config, key,
                                             tmp_path, monkeypatch):
         def no_work(*args, **kwargs):

@@ -26,7 +26,7 @@ from spinlab.pauli import (
     pauli_sum_to_json,
     qubitwise_commute,
 )
-from spinlab.statevector import TFIMModel, exact_spectrum
+from spinlab.statevector import TFIMModel, exact_spectrum, ground_state
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,8 +164,21 @@ class TestPauliSum:
     def test_non_hermitian_sum_rejected_by_exact_spectrum(self):
         h = PauliSum.from_terms(2, [(1.0, PauliString("ZZ")),
                                     (0.5j, PauliString("XI"))])
-        with pytest.raises(ValueError, match="sum is not Hermitian"):
-            exact_spectrum(h)
+        for solve in (exact_spectrum, ground_state):
+            with pytest.raises(ValueError, match="sum is not Hermitian"):
+                solve(h)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_sparse_holds_the_dense_entries(self, n):
+        rng = np.random.default_rng(n)
+        terms = [(complex(rng.normal(), rng.normal()),
+                  PauliString("".join(rng.choice(list("IXYZ"), size=n))))
+                 for _ in range(12)]
+        for h in (PauliSum.from_terms(n, terms), PauliSum.from_terms(n, []),
+                  TFIMModel(L=n, J=0.7, Gamma=1.3).as_pauli_sum()):
+            dense, mat = h.dense(), h.sparse()
+            assert mat.dtype == (float if not dense.imag.any() else complex)
+            assert mat.toarray().astype(complex).tobytes() == dense.tobytes()
 
     def test_one_norm_skips_identity(self):
         s = PauliSum.from_terms(2, [(5.0, PauliString("II")),

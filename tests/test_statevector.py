@@ -482,8 +482,49 @@ class TestSpectrum:
 
     def test_capacity(self):
         h = TFIMModel(L=13).as_pauli_sum()
-        with pytest.raises(CapacityError):
-            exact_spectrum(h, 1)
+        for solve in (exact_spectrum, ground_state):
+            with pytest.raises(CapacityError):
+                solve(h)
+
+
+def _assert_ground_state_matches_dense(h: PauliSum) -> None:
+    """Lanczos against the dense eigh: E0 within 16 ulp, and the same
+    sign-fixed vector."""
+    (e_ref, v_ref), = exact_spectrum(h, 1)
+    e0, v0 = ground_state(h)
+    assert abs(e0 - e_ref) <= 16 * np.spacing(abs(e_ref))
+    assert np.vdot(v_ref.amplitudes, v0.amplitudes).real >= 1 - 1e-12
+    amps = v0.amplitudes
+    first = amps[np.flatnonzero(np.abs(amps) > 1e-8)[0]]
+    assert first.real > 0 and abs(first.imag) < 1e-12
+
+
+class TestGroundState:
+    # Gamma < 0 puts the ground state of an odd open chain in the odd X
+    # parity sector, which an all-ones start vector misses
+    @pytest.mark.parametrize("periodic", [False, True],
+                             ids=["open", "periodic"])
+    @pytest.mark.parametrize("J,Gamma", [(1.0, 1.0), (0.8, 1.3), (-0.6, 0.4),
+                                         (1.0, -0.8)])
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_tfim_matches_dense(self, L, J, Gamma, periodic):
+        _assert_ground_state_matches_dense(
+            TFIMModel(L, J, Gamma, periodic).as_pauli_sum())
+
+    def test_sum_with_y_letters_matches_dense(self):
+        rng = np.random.default_rng(3)
+        terms = [(rng.normal(),
+                  PauliString("".join(rng.choice(list("IXYZ"), size=6))))
+                 for _ in range(12)]
+        h = PauliSum.from_terms(6, terms)
+        # odd Y counts give imaginary entries, so the complex path runs
+        assert h.sparse().dtype == complex
+        (e0, _), (e1, _) = exact_spectrum(h, 2)
+        assert e1 - e0 > 0.1  # a unique ground state to compare
+        _assert_ground_state_matches_dense(h)
+
+    def test_sum_without_terms(self):
+        _assert_ground_state_matches_dense(PauliSum.from_terms(3, []))
 
 
 # ---------------------------------------------------------------------------
