@@ -304,8 +304,21 @@ def _experiment(name: str, params: tuple[Param, ...]):
 
 
 # ---------------------------------------------------------------------------
-# Depth-sweep optimization shared by fig2 and vqe-run
+# The TFIM reference and the depth sweep shared by the TFIM experiments
 # ---------------------------------------------------------------------------
+
+def _tfim_reference(cfg: dict, prefix: str = ""):
+    """Model, sum, ground energy and state of the L, J and Gamma keys (after
+    prefix), and x -> |x - E0| / |E0|, refusing an E0 of zero on h's scale."""
+    keys = [prefix + k for k in ("L", "J", "Gamma")]
+    model = TFIMModel(*(cfg[k] for k in keys))
+    h = model.as_pauli_sum()
+    e0, v0 = ground_state(h)
+    if abs(e0) <= 1e-12 * one_norm(h):
+        raise ValueError(f"config keys {', '.join(map(repr, keys))} give "
+                         f"E0 = {e0:.3g}, so |E - E0| / |E0| is undefined")
+    return model, h, e0, v0, lambda x: abs(x - e0) / abs(e0)
+
 
 def optimize_depth_sweep(model: TFIMModel, depths: Sequence[int],
                          master_seed: int, method: str = "quasi-newton",
@@ -371,15 +384,12 @@ def fig2_experiment(cfg: dict, master_seed: int, threads: int):
     spread over independent repetitions at each sample budget.
     """
     L, shots, reps = cfg["L"], cfg["shots"], cfg["repetitions"]
-    model = TFIMModel(L=L, J=cfg["J"], Gamma=cfg["Gamma"])
-    h = model.as_pauli_sum()
-    e0, v0 = ground_state(h)
+    model, h, e0, v0, rel = _tfim_reference(cfg)
     ansatze = optimize_depth_sweep(model, cfg["depths"], master_seed,
                                    cfg["optimizer.method"],
                                    cfg["optimizer.restarts"],
                                    cfg["optimizer.max_iter"])
-    depth_rel = {f"d{a.depth}": abs(exact_energy(a, h) - e0) / abs(e0)
-                 for a in ansatze}
+    depth_rel = {f"d{a.depth}": rel(exact_energy(a, h)) for a in ansatze}
 
     # Each cell is a CSV row without its last column, the sampled std.
     seeds: dict = {}
@@ -400,7 +410,7 @@ def fig2_experiment(cfg: dict, master_seed: int, threads: int):
             seed = derive_seed(master_seed, "fig2-vmc", len(vmc_args))
             seeds[f"vmc/lam1={lam1}/M{m}"] = seed
             cells.append(("vmc", f"jastrow_lam1={format_cell(lam1)}", m,
-                          abs(e_var - e0) / abs(e0)))
+                          rel(e_var)))
             vmc_args.append((a, model, m, reps, seed))
     spreads = (_run_tasks(_pauli_cell, pauli_args, threads)
                + _run_tasks(_vmc_cell, vmc_args, threads))
@@ -413,8 +423,8 @@ def fig2_experiment(cfg: dict, master_seed: int, threads: int):
         seeds[f"vmc/exact/M{m}"] = seed
         est = estimate_energy_vmc(exact_a, model, min(m, 10_000),
                                   np.random.default_rng(seed))
-        rows.append(("vmc", "exact_eigenvector", m,
-                     abs(est.mean - e0) / abs(e0), est.stderr))
+        rows.append(("vmc", "exact_eigenvector", m, rel(est.mean),
+                     est.stderr))
     return (("estimator", "ansatz", "M", "relative_error", "std"), rows, seeds,
             {"csv": "fig2.csv", "E0": e0, "depth_relative_errors": depth_rel,
              "pauli_cost_note": "each Pauli estimate consumes "
@@ -486,10 +496,7 @@ def gap_sweep(cfg: dict, master_seed: int, threads: int):
     Param("repetitions", int, 100, low=1)) + _OPTIMIZER)
 def vqe_run(cfg: dict, master_seed: int, threads: int):
     """Optimize one circuit depth, then repeat its shot-noise estimate."""
-    model = TFIMModel(L=cfg["model.L"], J=cfg["model.J"],
-                      Gamma=cfg["model.Gamma"])
-    h = model.as_pauli_sum()
-    e0, _ = ground_state(h)
+    model, h, e0, _, rel = _tfim_reference(cfg, "model.")
     res = optimize_noiseless(HVAnsatz.zeros(model, cfg["depth"]),
                              method=cfg["optimizer.method"],
                              restarts=cfg["optimizer.restarts"],
@@ -505,7 +512,7 @@ def vqe_run(cfg: dict, master_seed: int, threads: int):
     rows = [(rep, e.mean, e.stderr) for rep, e in enumerate(ests)]
     return (("repetition", "mean", "stderr"), rows, seeds,
             {"csv": "vqe_run.csv", "E0": e0, "E_var": res.energy,
-             "relative_error": abs(res.energy - e0) / abs(e0),
+             "relative_error": rel(res.energy),
              "converged": res.converged,
              "predicted_error": predicted_error(s, h, plan, groups),
              "n_groups": groups.n_groups})
@@ -524,8 +531,7 @@ def vqe_run(cfg: dict, master_seed: int, threads: int):
 def vmc_run(cfg: dict, master_seed: int, threads: int):
     """SR from lam = 0 (``mode = sr``) or the ansatz-quality sweep."""
     L = cfg["L"]
-    model = TFIMModel(L=L, J=cfg["J"], Gamma=cfg["Gamma"])
-    e0, _ = ground_state(model.as_pauli_sum())
+    model, _, e0, _, rel = _tfim_reference(cfg)
     seeds: dict = {}
     if cfg["mode"] == "sr":
         seed = derive_seed(master_seed, "vmc-sr", 0)
@@ -534,23 +540,22 @@ def vmc_run(cfg: dict, master_seed: int, threads: int):
                                   samples_per_step=cfg["samples_per_step"],
                                   delta=cfg["delta"],
                                   rng=np.random.default_rng(seed))
-        rows = [(i, e, abs(e - e0) / abs(e0))
-                for i, e in enumerate(run.energies)]
+        rows = [(i, e, rel(e)) for i, e in enumerate(run.energies)]
         e_fin = rayleigh_quotient(run.ansatz, model)
         return (("step", "energy", "relative_error"), rows, seeds,
                 {"csv": "vmc_sr.csv", "E0": e0,
                  "final_lam": list(run.ansatz.lam), "final_energy": e_fin,
-                 "final_relative_error": abs(e_fin - e0) / abs(e0)})
+                 "final_relative_error": rel(e_fin)})
     rows = []
     for lam1 in cfg["lam1_grid"]:
         a = JastrowAnsatz(L, (lam1,) + tuple(cfg["jastrow_tail"]))
-        rel = abs(rayleigh_quotient(a, model) - e0) / abs(e0)
+        err = rel(rayleigh_quotient(a, model))
         for m in cfg["samples"]:
             seed = derive_seed(master_seed, "vmc-sweep", len(rows))
             seeds[f"lam1={lam1}/M{m}"] = seed
             est = estimate_energy_vmc(a, model, m,
                                       np.random.default_rng(seed))
-            rows.append((lam1, rel, est.stderr, m))
+            rows.append((lam1, err, est.stderr, m))
     return (("lam1", "relative_error", "stderr", "M_vmc"), rows, seeds,
             {"csv": "vmc_sweep.csv", "E0": e0})
 

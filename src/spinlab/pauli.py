@@ -355,23 +355,18 @@ def group_qubitwise(h: PauliSum) -> MeasurementGroups:
     group_members: list[list[int]] = []
     group_basis: list[list[str | None]] = []
     for idx, _, string in order:
-        placed = False
         for members, basis in zip(group_members, group_basis):
             if all(c == "I" or basis[k] is None or basis[k] == c
                    for k, c in enumerate(string.letters)):
-                members.append(idx)
-                for k, c in enumerate(string.letters):
-                    if c != "I":
-                        basis[k] = c
-                placed = True
                 break
-        if not placed:
-            basis = [None] * n
-            for k, c in enumerate(string.letters):
-                if c != "I":
-                    basis[k] = c
-            group_members.append([idx])
+        else:
+            members, basis = [], [None] * n
+            group_members.append(members)
             group_basis.append(basis)
+        members.append(idx)
+        for k, c in enumerate(string.letters):
+            if c != "I":
+                basis[k] = c
     bases = tuple("".join(c or "Z" for c in basis) for basis in group_basis)
     return MeasurementGroups(tuple(tuple(m) for m in group_members), bases)
 

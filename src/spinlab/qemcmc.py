@@ -240,15 +240,21 @@ def _x_sum_matrix(L: int) -> np.ndarray:
     return m
 
 
+def _eigh_columns(ham: np.ndarray, t: float, rows: np.ndarray) -> np.ndarray:
+    """exp(-i H t)|x_r> for each row index r by eigh of the real symmetric
+    ham, or of each matrix in a stack of them; (..., dim, rows.size)."""
+    vals, vecs = np.linalg.eigh(ham)
+    phases = np.exp(-1j * vals * t)
+    # vecs is real orthogonal, so <x|vecs> is just a row slice
+    return vecs @ (phases[..., :, None]
+                   * np.swapaxes(vecs[..., rows, :], -1, -2))
+
+
 def _evolved_columns(v_table: np.ndarray, gamma: float, t: float,
                      start: np.ndarray) -> np.ndarray:
     """exp(-i H t)|x_c> for each start index by dense eigh; (dim, n_chains)."""
     L = v_table.size.bit_length() - 1
-    ham = np.diag(v_table) + gamma * _x_sum_matrix(L)
-    vals, vecs = np.linalg.eigh(ham)
-    phases = np.exp(-1j * vals * t)
-    # vecs is real orthogonal, so <x|vecs> is just a row slice
-    return vecs @ (phases[:, None] * vecs[start, :].T)
+    return _eigh_columns(np.diag(v_table) + gamma * _x_sum_matrix(L), t, start)
 
 
 def _sector_columns(v_table: np.ndarray, gamma: float, t: float,
@@ -268,12 +274,9 @@ def _sector_columns(v_table: np.ndarray, gamma: float, t: float,
     r = np.arange(half)
     blocks[0, r, r ^ (half - 1)] += gamma
     blocks[1, r, r ^ (half - 1)] -= gamma
-    vals, vecs = np.linalg.eigh(blocks)
-    phases = np.exp(-1j * vals * t)
     # |x> = (|r,+> +- |r,->)/sqrt2, with - when x is the flip ~r of r < half
     upper = start >= half
-    rep = np.where(upper, start ^ (dim - 1), start)
-    ab = vecs @ (phases[:, :, None] * vecs[:, rep, :].transpose(0, 2, 1))
+    ab = _eigh_columns(blocks, t, np.where(upper, start ^ (dim - 1), start))
     a, b = ab[0], np.where(upper, -ab[1], ab[1])
     out = np.empty((dim, start.size), dtype=complex)
     out[:half] = (a + b) / 2
@@ -637,15 +640,6 @@ def exact_autocorrelation_time(p: np.ndarray, pi: np.ndarray,
 # Autocorrelation estimation
 # ---------------------------------------------------------------------------
 
-def _autocovariance(series: np.ndarray, mean: float) -> np.ndarray:
-    x = np.asarray(series, dtype=float) - mean
-    n = x.size
-    m = 1 << (2 * n - 1).bit_length()
-    fx = np.fft.rfft(x, m)
-    acov = np.fft.irfft(fx * np.conj(fx), m)[:n].real
-    return acov / n
-
-
 def autocorrelation_time(series) -> float:
     """Integrated autocorrelation time with automatic windowing.
 
@@ -673,10 +667,11 @@ def autocorrelation_time_pooled(series: np.ndarray,
     if n < 2:
         return 0.5
     mu = float(x.mean()) if mean is None else float(mean)
-    acov = np.zeros(n)
-    for row in x:
-        acov += _autocovariance(row, mu)
-    acov /= x.shape[0]
+    m = 1 << (2 * n - 1).bit_length()
+    fx = np.fft.rfft(x - mu, m, axis=1)
+    # the rows' autocovariances added in order from zero, fixing the rounding
+    acov = sum(np.fft.irfft(fx * np.conj(fx), m, axis=1)[:, :n] / n,
+               np.zeros(n)) / x.shape[0]
     if acov[0] <= 0:
         return n / 2.0
     rho = acov / acov[0]

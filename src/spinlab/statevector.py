@@ -31,8 +31,6 @@ from .pauli import PauliString, PauliSum, _bit_action, _string_values
 MAX_STATE_QUBITS = 26
 MAX_DENSE_QUBITS = 12
 
-NORM_TOL = 1e-10
-
 
 class CapacityError(RuntimeError):
     """Requested register exceeds the desk-scale memory ceiling."""
@@ -125,12 +123,13 @@ class TFIMModel:
         return PauliSum.from_terms(self.L, terms)
 
     def zz_sum_table(self) -> np.ndarray:
-        """sum_k s_k s_{k+1} for every basis index (diagonal of the ZZ part)."""
-        spins = all_spin_values(self.L)
-        total = np.zeros(2 ** self.L, dtype=np.int64)
+        """sum_k s_k s_{k+1} for every basis index (diagonal of the ZZ part);
+        the L = 1 periodic bond has mask 0, so sign +1."""
+        idx = np.arange(2 ** self.L, dtype=np.uint64)
+        total = np.zeros(idx.size)
         for i, j in self.bonds():
-            total += spins[:, i] * spins[:, j]
-        return total
+            total += _string_values([(1 << i) ^ (1 << j)], idx)[0]
+        return total.astype(np.int64)
 
 
 def _check_qubits(n: int) -> None:
@@ -265,9 +264,7 @@ def expectation(s: StateVector, h: PauliSum) -> float:
     """<psi|H|psi> for a Hermitian Pauli sum."""
     if h.n_qubits != s.n_qubits:
         raise ValueError("operator size does not match state")
-    val = 0j
-    for coeff, string in h.terms:
-        val += coeff * np.vdot(s.amplitudes, apply_pauli_string(s, string))
+    val = np.vdot(s.amplitudes, apply_pauli_sum(s, h))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}; "
                          "operator is not Hermitian on this state")
@@ -382,13 +379,18 @@ def _sign_fixed(v: np.ndarray) -> StateVector:
     return StateVector(v * (np.abs(v[nz]) / v[nz]))
 
 
+def _dense_eigh(h: PauliSum, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Checked eigh(h.dense()); what names the job in the capacity error."""
+    if h.n_qubits > MAX_DENSE_QUBITS:
+        raise CapacityError(f"{what} capped at {MAX_DENSE_QUBITS} qubits")
+    _check_hermitian(h)
+    return np.linalg.eigh(h.dense())
+
+
 def exact_spectrum(h: PauliSum, k: int = 1) -> list[tuple[float, StateVector]]:
     """k lowest eigenpairs of the dense Hermitian matrix, ascending, with
     ``_sign_fixed`` eigenvectors."""
-    if h.n_qubits > MAX_DENSE_QUBITS:
-        raise CapacityError(f"dense spectrum capped at {MAX_DENSE_QUBITS} qubits")
-    _check_hermitian(h)
-    vals, vecs = np.linalg.eigh(h.dense())
+    vals, vecs = _dense_eigh(h, "dense spectrum")
     return [(float(vals[i]), _sign_fixed(vecs[:, i]))
             for i in range(min(k, vals.size))]
 
@@ -458,18 +460,18 @@ def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
 
     ``method="trotter"`` alternates exp(-i H_1 t/steps) exp(-i H_2 t/steps)
     where H_1 is the Z-diagonal part and H_2 the transverse-X part; the sum
-    must decompose that way.
+    must decompose that way.  Either method needs a Hermitian sum.
     """
+    if h.n_qubits != s.n_qubits:
+        raise ValueError("operator size does not match state")
     if method == "exact":
-        if s.n_qubits > MAX_DENSE_QUBITS:
-            raise CapacityError(
-                f"exact evolution capped at {MAX_DENSE_QUBITS} qubits")
-        vals, vecs = np.linalg.eigh(h.dense())
+        vals, vecs = _dense_eigh(h, "exact evolution")
         amps = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ s.amplitudes))
         return StateVector(amps)
     if method == "trotter":
         if steps < 1:
             raise ValueError("steps must be positive")
+        _check_hermitian(h)
         diag, xpart = _split_diagonal_x(h)
         dt = t / steps
         dphase = np.exp(-1j * dt * diagonal_values(diag))

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qemcmc import _check_counts, _metropolis
-from .statevector import SpinConfiguration, TFIMModel, _x_sum, all_spin_values
+from .statevector import (SpinConfiguration, TFIMModel, _x_sum, _zz_levels,
+                          all_spin_values)
 from .vqe import EnergyEstimate, _ridge_solve
 
 TABLE_CAP = 20  # build full 2^L lookup tables up to this many sites
@@ -48,10 +49,10 @@ class JastrowAnsatz:
 
     def log_psi_spins(self, spins: np.ndarray) -> np.ndarray:
         """log psi for every row of an (n, L) spin matrix."""
-        spins = np.atleast_2d(np.asarray(spins))
-        out = np.zeros(spins.shape[0])
-        for r, lam_r in enumerate(self.lam, start=1):
-            out += lam_r * np.sum(spins * np.roll(spins, -r, axis=1), axis=1)
+        o = _log_derivative_matrix(self, np.atleast_2d(np.asarray(spins)))
+        out = np.zeros(o.shape[0])
+        for r, lam_r in enumerate(self.lam):
+            out += lam_r * o[:, r]
         return out
 
     def log_psi(self, x: SpinConfiguration) -> float:
@@ -111,10 +112,10 @@ def local_energy_table(a, model: TFIMModel) -> np.ndarray:
     the single-flip neighbor.  Entries where psi(x) = 0 come out nan.
     """
     amp = np.asarray(a.amplitude_table())
-    zz = model.zz_sum_table().astype(float)
+    levels, inv = _zz_levels(model.L, model.periodic)
     ratio_sum = _x_sum(amp, model.L)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = -model.J * zz - model.Gamma * np.where(
+        vals = (-model.J * levels)[inv] - model.Gamma * np.where(
             amp != 0, ratio_sum / np.where(amp != 0, amp, 1), np.nan)
     if np.iscomplexobj(vals):
         vals = np.where(np.abs(vals.imag) < 1e-9, vals.real, np.nan)

@@ -23,10 +23,12 @@ from .statevector import (
     StateVector,
     SpinConfiguration,
     TFIMModel,
+    _check_hermitian,
     _hva_layer,
     _x_sum,
     _zz_levels,
     apply_pauli_sum,
+    expectation,
     init_plus,
     rotate_to_basis,
     sample_indices,
@@ -115,8 +117,7 @@ def energy_and_gradient(a: HVAnsatz, h: PauliSum) -> tuple[float, np.ndarray]:
 def exact_energy(a: HVAnsatz, h: PauliSum | None = None) -> float:
     if h is None:
         h = a.model.as_pauli_sum()
-    psi = prepare(a)
-    return float(np.vdot(psi.amplitudes, apply_pauli_sum(psi, h)).real)
+    return expectation(prepare(a), h)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +184,7 @@ def estimate_energy_pauli_batch(s: StateVector, h: PauliSum,
     """
     if len(plan.shots_per_group) != groups.n_groups:
         raise ValueError("plan does not match the number of groups")
+    _check_hermitian(h)
     if len({id(rng) for rng in rngs}) < len(rngs):
         return [estimate_energy_pauli(s, h, groups, plan, rng) for rng in rngs]
     means = [h.identity_coefficient().real] * len(rngs)
@@ -217,6 +219,7 @@ def predicted_error(s: StateVector, h: PauliSum, plan: ShotPlan,
         groups = group_qubitwise(h)
     if len(plan.shots_per_group) != groups.n_groups:
         raise ValueError("plan does not match the number of groups")
+    _check_hermitian(h)
     idx = np.arange(s.amplitudes.size, dtype=np.uint64)
     var = 0.0
     for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):

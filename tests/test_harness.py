@@ -210,6 +210,27 @@ class TestResolveConfig:
             harness.EXPERIMENTS[experiment](dict(config), out, 0)
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment,config", [
+        ("vqe-run", {"model.L": 4, "model.J": 0, "model.Gamma": 0}),
+        ("vqe-run", {"model.L": 1, "model.J": -1, "model.Gamma": 1}),
+        ("vmc-run", {"L": 4, "J": 0, "Gamma": 0, "mode": "sr"}),
+        ("vmc-run", {"L": 4, "J": 0, "Gamma": 0, "jastrow_tail": [0.05]}),
+        ("fig2", {"L": 4, "J": 0, "Gamma": 0, "jastrow_tail": [0.05]}),
+    ], ids=["vqe-empty-sum", "vqe-one-site-zero-level", "vmc-sr-empty-sum",
+            "vmc-sweep-empty-sum", "fig2-empty-sum"])
+    def test_zero_reference_energy_refused_before_optimization(
+            self, experiment, config, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("optimization ran before the check")
+
+        for name in ("optimize_noiseless", "optimize_depth_sweep",
+                     "run_sr_optimization", "rayleigh_quotient"):
+            monkeypatch.setattr(harness, name, no_work)
+        prefix = "model." if experiment == "vqe-run" else ""
+        keys = ", ".join(repr(prefix + k) for k in ("L", "J", "Gamma"))
+        with pytest.raises(ValueError, match=re.escape(keys)):
+            harness.EXPERIMENTS[experiment](dict(config), tmp_path, 0)
+
     def test_tail_repeats_and_method_case_are_kept(self):
         cfg = resolve_config("vmc-run", {"L": 6, "jastrow_tail": [0.03, 0.03]})
         assert cfg["jastrow_tail"] == [0.03, 0.03]

@@ -6,31 +6,41 @@ from the 8-op rotation loop and the 2-add ``_x_sum`` that are kept here as
 ``prepare``, ``sr_matrix``, ``apply_exp_x``, ``rotate_to_basis``, Trotter
 evolution, the Trotter proposal columns, the VMC local-energy table, the
 grouped shot-noise estimator, ``diagonal_values``, ``PauliSum.dense`` on a
-sum with Y letters and both SR ridge solves (``natural_gradient_step`` and
-``vmc._sr_update``), over L = 1, 2, 5, 8, 10 and three (J, Gamma, periodic)
-models.  ``PROPOSAL_DIGESTS`` pins the quantum proposal's draws on each of
-its four propagators, and ``_sample_columns_ref`` keeps the per-column
-inverse-CDF sampler that the proposal once had, as the reference for its
-draw.  The layer-by-layer references in ``test_vqe.py`` call
+sum with Y letters, both SR ridge solves (``natural_gradient_step`` and
+``vmc._sr_update``), the TFIM ZZ table, the two eigh propagators of the
+quantum proposal, the pooled autocorrelation time, the Jastrow amplitude
+table and the qubit-wise measurement groups, over L = 1, 2, 5, 8, 10 and
+three (J, Gamma, periodic) models; the eigh propagators stop at L = 5 and
+are held bitwise to ``_evolved_columns_ref`` and ``_sector_columns_ref``,
+their bodies before they shared one eigh core, at L = 2..8.
+``PROPOSAL_DIGESTS`` pins the quantum proposal's draws on each of its four
+propagators, and ``_sample_columns_ref`` keeps the per-column inverse-CDF
+sampler that the proposal once had, as the reference for its draw.  The
+layer-by-layer references in ``test_vqe.py`` call
 ``apply_exp_x`` and so run the kernel under test; these digests do not, so
 a change that moves one bit of any rotation shows here.  Run this file as a
 script to print the digests of the code as it stands.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spinlab import qemcmc
-from spinlab.pauli import PauliString, PauliSum, group_qubitwise
+from spinlab.pauli import (FermionHamiltonian, PauliString, PauliSum,
+                           group_qubitwise, map_fermionic)
 from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
-                            _quantum_step, _trotter_columns, energy_table,
+                            _evolved_columns, _quantum_step, _sector_columns,
+                            _trotter_columns, _x_sum_matrix,
+                            autocorrelation_time_pooled, energy_table,
                             spin_glass_instance)
 from spinlab.statevector import (_BASIS_ROT, StateVector, TFIMModel,
                                  _rotate_qubits, _x_gate, _x_sum, apply_exp_x,
                                  diagonal_values, evolve, rotate_to_basis)
-from spinlab.vmc import AmplitudeTableAnsatz, _sr_update, local_energy_table
+from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz, _sr_update,
+                         local_energy_table)
 from spinlab.vqe import (HVAnsatz, ShotPlan, energy_and_gradient,
                          estimate_energy_pauli, natural_gradient_step,
                          prepare, sr_matrix)
@@ -56,6 +66,38 @@ def _x_sum_ref(amps, n):
         o = out.reshape(2 ** (n - 1 - k), 2, -1)
         o[:, 0] += t[:, 1]
         o[:, 1] += t[:, 0]
+    return out
+
+
+def _evolved_columns_ref(v_table, gamma, t, start):
+    """The dense propagator as written before its eigh core was shared."""
+    L = v_table.size.bit_length() - 1
+    ham = np.diag(v_table) + gamma * _x_sum_matrix(L)
+    vals, vecs = np.linalg.eigh(ham)
+    phases = np.exp(-1j * vals * t)
+    return vecs @ (phases[:, None] * vecs[start, :].T)
+
+
+def _sector_columns_ref(v_table, gamma, t, start):
+    """The flip-sector propagator as written before its eigh core was
+    shared."""
+    L = v_table.size.bit_length() - 1
+    dim = v_table.size
+    half = dim // 2
+    base = np.diag(v_table[:half]) + gamma * _x_sum_matrix(L - 1)
+    blocks = np.stack([base, base])
+    r = np.arange(half)
+    blocks[0, r, r ^ (half - 1)] += gamma
+    blocks[1, r, r ^ (half - 1)] -= gamma
+    vals, vecs = np.linalg.eigh(blocks)
+    phases = np.exp(-1j * vals * t)
+    upper = start >= half
+    rep = np.where(upper, start ^ (dim - 1), start)
+    ab = vecs @ (phases[:, :, None] * vecs[:, rep, :].transpose(0, 2, 1))
+    a, b = ab[0], np.where(upper, -ab[1], ab[1])
+    out = np.empty((dim, start.size), dtype=complex)
+    out[:half] = (a + b) / 2
+    out[half:] = ((a - b) / 2)[::-1]
     return out
 
 
@@ -184,6 +226,77 @@ def _sr_update_kernel(model):
     return tuple(_sr_update(lam, o, e_loc, 0.05, reg) for reg in (None, 0.01))
 
 
+def _zz_sum_table(model):
+    return (model.zz_sum_table(),)
+
+
+def _proposal_columns(model, evolve, field):
+    """exp(-iHt) start columns on the TFIM diagonal, optionally plus a field
+    on site 0 (no flip symmetry), for one, four and all start indices."""
+    v = -model.J * model.zz_sum_table().astype(float)
+    if field:
+        v = v + 0.37 * (1 - 2 * (np.arange(v.size) & 1))
+    dim = v.size
+    starts = (np.array([dim - 1]), np.arange(4) * 3 % dim, np.arange(dim))
+    return tuple(evolve(v, model.Gamma, 1.3, start) for start in starts)
+
+
+# Above 2^5 states OpenBLAS's threaded eigh moves last bits with the thread
+# count, so the digests stop at L = 5 and
+# test_eigh_propagators_match_reference_bitwise covers L = 2..8.
+def _evolved_columns_kernel(model):
+    model = replace(model, L=min(model.L, 5))
+    return (_proposal_columns(model, _evolved_columns, False)
+            + _proposal_columns(model, _evolved_columns, True))
+
+
+def _sector_columns_kernel(model):
+    return _proposal_columns(replace(model, L=min(model.L, 5)),
+                             _sector_columns, False)
+
+
+def _autocorrelation_time_pooled(model):
+    """Pooled tau on random-walk rows, each shape with a constant row when
+    it has more than one, with the grand mean and with a given mean."""
+    rng = np.random.default_rng(7000 + model.L)
+    taus = []
+    for shape in ((1, 100), (4, 1000), (16, 4096), (3, 17)):
+        x = (0.1 * np.cumsum(rng.normal(size=shape), axis=1)
+             + rng.normal(size=shape))
+        if shape[0] > 1:
+            x[1] = model.J  # a zero-variance row
+        for mean in (None, model.Gamma):
+            taus.append(autocorrelation_time_pooled(x, mean))
+    return (np.array(taus),)
+
+
+def _jastrow_amplitude_table(model):
+    L = 2 * ((model.L + 1) // 2)  # the pair ansatz needs an even L
+    rng = np.random.default_rng(8000 + model.L)
+    a = JastrowAnsatz(L, tuple(model.J * rng.normal(size=L // 2) / L))
+    spins = 1 - 2 * rng.integers(0, 2, size=(7, L))
+    return a.amplitude_table(), a.log_psi_spins(spins)
+
+
+def _jw_sum(model) -> PauliSum:
+    """A Hermitian Jordan-Wigner image on min(L, 4) modes."""
+    n = min(model.L, 4)
+    rng = np.random.default_rng(9000 + model.L)
+    t = rng.normal(size=(n, n))
+    u = rng.normal(size=(n, n, n, n)) * (rng.random((n, n, n, n)) < 0.3)
+    u = model.Gamma * (u + u.transpose(3, 2, 1, 0)) / 2
+    return map_fermionic(FermionHamiltonian(n, model.J * (t + t.T) / 2, u))
+
+
+def _group_qubitwise(model):
+    text = []
+    for h in (model.as_pauli_sum(), _mixed_sum(model.L),
+              _mixed_sum(model.L, "IXZ", 9500), _jw_sum(model)):
+        g = group_qubitwise(h)
+        text.append(repr((g.groups, g.bases)))
+    return (np.frombuffer("\n".join(text).encode(), dtype=np.uint8),)
+
+
 KERNELS = {
     "energy_and_gradient": _energy_and_gradient,
     "prepare": _prepare,
@@ -198,6 +311,12 @@ KERNELS = {
     "pauli_dense": _pauli_dense,
     "natural_gradient_step": _natural_gradient_step,
     "sr_update": _sr_update_kernel,
+    "zz_sum_table": _zz_sum_table,
+    "evolved_columns": _evolved_columns_kernel,
+    "sector_columns": _sector_columns_kernel,
+    "autocorrelation_time_pooled": _autocorrelation_time_pooled,
+    "jastrow_amplitude_table": _jastrow_amplitude_table,
+    "group_qubitwise": _group_qubitwise,
 }
 
 
@@ -413,6 +532,96 @@ DIGESTS = {
     'sr_update-L10-J1.0-G1.0-pbc': '2bb316b4826a155d',
     'sr_update-L10-J0.8-G1.3-pbc': 'd995516046a110c3',
     'sr_update-L10-J-0.6-G0.4-obc': 'bed370edf1c14ca4',
+    'zz_sum_table-L1-J1.0-G1.0-pbc': '814dd7b9784d57c1',
+    'zz_sum_table-L1-J0.8-G1.3-pbc': '814dd7b9784d57c1',
+    'zz_sum_table-L1-J-0.6-G0.4-obc': '374708fff7719dd5',
+    'zz_sum_table-L2-J1.0-G1.0-pbc': 'a7759b98e7f25981',
+    'zz_sum_table-L2-J0.8-G1.3-pbc': 'a7759b98e7f25981',
+    'zz_sum_table-L2-J-0.6-G0.4-obc': '39ad010ee5cb40a7',
+    'zz_sum_table-L5-J1.0-G1.0-pbc': '4259d5d197adee20',
+    'zz_sum_table-L5-J0.8-G1.3-pbc': '4259d5d197adee20',
+    'zz_sum_table-L5-J-0.6-G0.4-obc': '1f152dcfdec1f829',
+    'zz_sum_table-L8-J1.0-G1.0-pbc': '5601311842f1d652',
+    'zz_sum_table-L8-J0.8-G1.3-pbc': '5601311842f1d652',
+    'zz_sum_table-L8-J-0.6-G0.4-obc': '3282a8328e0bdffb',
+    'zz_sum_table-L10-J1.0-G1.0-pbc': '85c29de42b2d0c88',
+    'zz_sum_table-L10-J0.8-G1.3-pbc': '85c29de42b2d0c88',
+    'zz_sum_table-L10-J-0.6-G0.4-obc': 'f8169443298e7aab',
+    'evolved_columns-L1-J1.0-G1.0-pbc': '7cc862ae20637bce',
+    'evolved_columns-L1-J0.8-G1.3-pbc': '224b81e3684983b8',
+    'evolved_columns-L1-J-0.6-G0.4-obc': 'bc03a0ef39871aa1',
+    'evolved_columns-L2-J1.0-G1.0-pbc': '0dbadcc787047dc6',
+    'evolved_columns-L2-J0.8-G1.3-pbc': '6f0b3510fd31d570',
+    'evolved_columns-L2-J-0.6-G0.4-obc': '961b7c36099a66f1',
+    'evolved_columns-L5-J1.0-G1.0-pbc': '8bb2693ac169672e',
+    'evolved_columns-L5-J0.8-G1.3-pbc': '08aecbfb5d0c8392',
+    'evolved_columns-L5-J-0.6-G0.4-obc': '74fae5f9c2d09212',
+    'evolved_columns-L8-J1.0-G1.0-pbc': '8bb2693ac169672e',
+    'evolved_columns-L8-J0.8-G1.3-pbc': '08aecbfb5d0c8392',
+    'evolved_columns-L8-J-0.6-G0.4-obc': '74fae5f9c2d09212',
+    'evolved_columns-L10-J1.0-G1.0-pbc': '8bb2693ac169672e',
+    'evolved_columns-L10-J0.8-G1.3-pbc': '08aecbfb5d0c8392',
+    'evolved_columns-L10-J-0.6-G0.4-obc': '74fae5f9c2d09212',
+    'sector_columns-L1-J1.0-G1.0-pbc': '2ca6bc9bccd63d45',
+    'sector_columns-L1-J0.8-G1.3-pbc': '63dba680deca95bb',
+    'sector_columns-L1-J-0.6-G0.4-obc': '2f526c853d982fdc',
+    'sector_columns-L2-J1.0-G1.0-pbc': '9b442f7ab0225ab5',
+    'sector_columns-L2-J0.8-G1.3-pbc': 'ebe9c239017b853f',
+    'sector_columns-L2-J-0.6-G0.4-obc': '49beed6f712a6222',
+    'sector_columns-L5-J1.0-G1.0-pbc': 'd9eec7e595e3761e',
+    'sector_columns-L5-J0.8-G1.3-pbc': 'f34c62a0e11f966e',
+    'sector_columns-L5-J-0.6-G0.4-obc': 'ab4b51b828e3c2b6',
+    'sector_columns-L8-J1.0-G1.0-pbc': 'd9eec7e595e3761e',
+    'sector_columns-L8-J0.8-G1.3-pbc': 'f34c62a0e11f966e',
+    'sector_columns-L8-J-0.6-G0.4-obc': 'ab4b51b828e3c2b6',
+    'sector_columns-L10-J1.0-G1.0-pbc': 'd9eec7e595e3761e',
+    'sector_columns-L10-J0.8-G1.3-pbc': 'f34c62a0e11f966e',
+    'sector_columns-L10-J-0.6-G0.4-obc': 'ab4b51b828e3c2b6',
+    'autocorrelation_time_pooled-L1-J1.0-G1.0-pbc': '72dd532060fa997b',
+    'autocorrelation_time_pooled-L1-J0.8-G1.3-pbc': '9b9efeb7b55fb983',
+    'autocorrelation_time_pooled-L1-J-0.6-G0.4-obc': '01d2b6886bc08ac2',
+    'autocorrelation_time_pooled-L2-J1.0-G1.0-pbc': '356963f122a2134a',
+    'autocorrelation_time_pooled-L2-J0.8-G1.3-pbc': '83a9937f2d86b513',
+    'autocorrelation_time_pooled-L2-J-0.6-G0.4-obc': '090bdc55b7316d6d',
+    'autocorrelation_time_pooled-L5-J1.0-G1.0-pbc': '09320f5daedfe2ac',
+    'autocorrelation_time_pooled-L5-J0.8-G1.3-pbc': 'e24672665a1de3bb',
+    'autocorrelation_time_pooled-L5-J-0.6-G0.4-obc': 'bec7f5f384b47943',
+    'autocorrelation_time_pooled-L8-J1.0-G1.0-pbc': '3dfa5e025cc065be',
+    'autocorrelation_time_pooled-L8-J0.8-G1.3-pbc': '98a5ae536ff33832',
+    'autocorrelation_time_pooled-L8-J-0.6-G0.4-obc': 'fc1da285fa56cf6b',
+    'autocorrelation_time_pooled-L10-J1.0-G1.0-pbc': '6112574d9372888d',
+    'autocorrelation_time_pooled-L10-J0.8-G1.3-pbc': '6b291f617910c6a4',
+    'autocorrelation_time_pooled-L10-J-0.6-G0.4-obc': '7cf4dabe4207602d',
+    'jastrow_amplitude_table-L1-J1.0-G1.0-pbc': 'd00f58464bf0f12b',
+    'jastrow_amplitude_table-L1-J0.8-G1.3-pbc': 'efe521477cfb39c0',
+    'jastrow_amplitude_table-L1-J-0.6-G0.4-obc': 'c764252ce88ad43c',
+    'jastrow_amplitude_table-L2-J1.0-G1.0-pbc': '1cef21508ff67a3c',
+    'jastrow_amplitude_table-L2-J0.8-G1.3-pbc': 'b9f35b4086d3d42f',
+    'jastrow_amplitude_table-L2-J-0.6-G0.4-obc': 'd3a24b2589ed724d',
+    'jastrow_amplitude_table-L5-J1.0-G1.0-pbc': '603428f7f5b056f2',
+    'jastrow_amplitude_table-L5-J0.8-G1.3-pbc': '9e682ed13344f4d6',
+    'jastrow_amplitude_table-L5-J-0.6-G0.4-obc': 'fe467211ce2e20fd',
+    'jastrow_amplitude_table-L8-J1.0-G1.0-pbc': '607808970655c474',
+    'jastrow_amplitude_table-L8-J0.8-G1.3-pbc': '88b81e4ad207b95e',
+    'jastrow_amplitude_table-L8-J-0.6-G0.4-obc': '6d524efa2c09de13',
+    'jastrow_amplitude_table-L10-J1.0-G1.0-pbc': '330d1aae4461d822',
+    'jastrow_amplitude_table-L10-J0.8-G1.3-pbc': 'd13d693bb4a92671',
+    'jastrow_amplitude_table-L10-J-0.6-G0.4-obc': 'a12ff0d59334c3d1',
+    'group_qubitwise-L1-J1.0-G1.0-pbc': '9e6519605e201bcf',
+    'group_qubitwise-L1-J0.8-G1.3-pbc': '9e6519605e201bcf',
+    'group_qubitwise-L1-J-0.6-G0.4-obc': 'ca817b4e1874dedc',
+    'group_qubitwise-L2-J1.0-G1.0-pbc': '99b5774323ec63e7',
+    'group_qubitwise-L2-J0.8-G1.3-pbc': '99b5774323ec63e7',
+    'group_qubitwise-L2-J-0.6-G0.4-obc': '99b5774323ec63e7',
+    'group_qubitwise-L5-J1.0-G1.0-pbc': 'abec6cd449cf2585',
+    'group_qubitwise-L5-J0.8-G1.3-pbc': 'ae0d840c27b1dfa7',
+    'group_qubitwise-L5-J-0.6-G0.4-obc': 'b5845a02d722f390',
+    'group_qubitwise-L8-J1.0-G1.0-pbc': 'eccae6bf0101329b',
+    'group_qubitwise-L8-J0.8-G1.3-pbc': '849a0d8c17486f08',
+    'group_qubitwise-L8-J-0.6-G0.4-obc': 'ece93b117b12fc88',
+    'group_qubitwise-L10-J1.0-G1.0-pbc': '2f2704adb96564f9',
+    'group_qubitwise-L10-J0.8-G1.3-pbc': '2a8f4df4393ef083',
+    'group_qubitwise-L10-J-0.6-G0.4-obc': '2edf0d469568e714',
 }
 
 
@@ -536,6 +745,20 @@ def test_rotation_kernel_matches_general_form_bitwise(gate, n):
         _rotate_qubits_ref(ref, [(k, g) for k in order])
         _rotate_qubits(amps, [(k, g) for k in order])
         assert amps.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_eigh_propagators_match_reference_bitwise(L):
+    for J, gamma, periodic in MODELS:
+        model = TFIMModel(L=L, J=J, Gamma=gamma, periodic=periodic)
+        pairs = [(_sector_columns, _sector_columns_ref, False)]
+        pairs += [(_evolved_columns, _evolved_columns_ref, f)
+                  for f in (False, True)]
+        for evolve, ref, field in pairs:
+            got = _proposal_columns(model, evolve, field)
+            want = _proposal_columns(model, ref, field)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (evolve.__name__, field)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -26,7 +26,9 @@ from spinlab.pauli import (
     pauli_sum_to_json,
     qubitwise_commute,
 )
-from spinlab.statevector import TFIMModel, exact_spectrum, ground_state
+from spinlab.statevector import (TFIMModel, evolve, exact_spectrum,
+                                 ground_state, init_plus)
+from spinlab.vqe import ShotPlan, estimate_energy_pauli_batch, predicted_error
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,7 +166,16 @@ class TestPauliSum:
     def test_non_hermitian_sum_rejected_by_exact_spectrum(self):
         h = PauliSum.from_terms(2, [(1.0, PauliString("ZZ")),
                                     (0.5j, PauliString("XI"))])
-        for solve in (exact_spectrum, ground_state):
+        s = init_plus(2)
+        groups = group_qubitwise(h)
+        plan = ShotPlan.uniform(groups.n_groups, 10)
+        rng = np.random.default_rng(0)
+        for solve in (exact_spectrum, ground_state,
+                      lambda h: evolve(s, h, 0.7),
+                      lambda h: evolve(s, h, 0.7, method="trotter"),
+                      lambda h: estimate_energy_pauli_batch(s, h, groups,
+                                                            plan, [rng]),
+                      lambda h: predicted_error(s, h, plan, groups)):
             with pytest.raises(ValueError, match="sum is not Hermitian"):
                 solve(h)
 

@@ -1,6 +1,7 @@
 """State-vector layers, sampling, diagonalization, and evolution."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,28 @@ class TestTFIMModel:
         for idx in (0, 3, 9, 15):
             s = basis_state(4, idx)
             assert expectation(s, h) == pytest.approx(-model.J * table[idx])
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_zz_table_matches_spin_products(self, periodic):
+        for L in range(1, 11):
+            model = TFIMModel(L=L, periodic=periodic)
+            spins = all_spin_values(L)
+            want = np.zeros(2 ** L, dtype=np.int64)
+            for i, j in model.bonds():
+                want += spins[:, i] * spins[:, j]
+            got = model.zz_sum_table()
+            assert got.dtype == want.dtype and np.array_equal(got, want), L
+
+    def test_zz_table_work_arrays_stay_near_table_size(self):
+        """A (2^L, L) spin matrix would take 8 MiB at L = 16 (L times the
+        table); the bound allows six table-sized arrays."""
+        tracemalloc.start()
+        try:
+            TFIMModel(L=16).zz_sum_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +555,12 @@ class TestGroundState:
 # ---------------------------------------------------------------------------
 
 class TestEvolve:
+    @pytest.mark.parametrize("method", ["exact", "trotter"])
+    def test_size_mismatch_named(self, method):
+        with pytest.raises(ValueError, match="operator size does not match"):
+            evolve(init_plus(3), TFIMModel(L=2).as_pauli_sum(), 0.5,
+                   method=method)
+
     def test_zero_time_identity(self):
         rng = np.random.default_rng(25)
         s = random_state(3, rng)

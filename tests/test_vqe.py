@@ -11,7 +11,7 @@ from spinlab.pauli import (MeasurementGroups, PauliString, PauliSum,
 from spinlab.statevector import (SpinConfiguration, StateVector, TFIMModel,
                                  apply_exp_x, apply_exp_zz, apply_pauli_sum,
                                  basis_state, ground_state, init_plus)
-from spinlab.statevector import rotate_to_basis, sample_indices
+from spinlab.statevector import expectation, rotate_to_basis, sample_indices
 from spinlab import vqe
 from spinlab.vqe import (HVAnsatz, ShotPlan, _string_values,
                          amplitude_ratio_estimate, energy_and_gradient,
@@ -197,6 +197,13 @@ class TestBitwiseAgainstLayerByLayer:
     def test_sr_matrix(self, L, J, gamma, periodic):
         a = _bitwise_ansatz(L, J, gamma, periodic)
         assert np.array_equal(sr_matrix(a).entries, _ref_sr_entries(a))
+
+    @pytest.mark.parametrize("L,J,gamma,periodic", BITWISE_CASES)
+    def test_exact_energy_is_the_state_expectation(self, L, J, gamma,
+                                                   periodic):
+        a = _bitwise_ansatz(L, J, gamma, periodic)
+        for h in (a.model.as_pauli_sum(), _mixed_sum(L, 7)):
+            assert expectation(prepare(a), h) == exact_energy(a, h)
 
 
 # ---------------------------------------------------------------------------
