@@ -28,6 +28,10 @@ The crossover is where the O(8^L) eigh falls behind the O(L 2^L) per-term
 cost of the series.  Milliseconds per step, dense / sector / series, 1 and
 4 chains, one BLAS thread on a 2-core x86-64 host: L = 7, 2.3 / 1.3 / 5.1;
 L = 8, 11-12 / 4.4-5.4 / 5.5-9.0; L = 9, 55-58 / 19-20 / 5.0-9.4.
+
+build_proposal_matrix takes the flip sectors whenever V(x) = V(~x) and is
+symmetric to the last bit, so its kernel keeps the Boltzmann pi and
+spectral_gap takes eigvalsh of sqrt(pi) P / sqrt(pi) (eigvals without pi).
 """
 
 from __future__ import annotations
@@ -526,8 +530,12 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
 
 @dataclass(frozen=True)
 class TransitionMatrix:
+    """A proposal and, once assembled, its kernel and the pi it is
+    reversible with respect to."""
+
     proposal: np.ndarray
     kernel: np.ndarray | None = None
+    stationary: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -549,27 +557,36 @@ def build_proposal_matrix(model: ClassicalSpinModel,
                           rng: np.random.Generator) -> TransitionMatrix:
     """Marginal proposal T(x,x') = (1/K) sum_k |<x'|exp(-i H_k t_k)|x>|^2.
 
-    Uses K fixed draws of (t, gamma) so T is a definite matrix; symmetry is
-    inherited from the real-symmetric Hamiltonian.
+    Uses K fixed draws of (t, gamma) so T is a definite matrix.  T is
+    symmetric because H is real symmetric, and is returned as (T + T^T) / 2
+    so that it is so to the last bit.  A flip-symmetric V evolves only the
+    starts x < 2^(L-1), in the flip sectors.
     """
     if model.L > MAX_MATRIX_QUBITS:
         raise CapacityError(
             f"proposal matrix capped at {MAX_MATRIX_QUBITS} sites")
     v = energy_table(model)
     dim = v.size
-    t_mat = np.zeros((dim, dim))
+    # index dim-1-x is ~x: V is flip-symmetric (zero fields)
+    flip = np.array_equal(v, v[::-1])
+    evolve = _sector_columns if flip else _evolved_columns
+    start = np.arange(dim // 2 if flip else dim)
+    t_mat = np.zeros((dim, start.size))
     for _ in range(K):
         t, g = cfg.draw(rng)
         # w stays bound into the next draw: freeing every large array at
         # once lets malloc trim the heap, and re-faulting those pages on
         # each draw cost 15% of this loop at L = 8
-        w = _evolved_columns(v, g, t, np.arange(dim))
+        w = evolve(v, g, t, start)
         t_mat += np.abs(w) ** 2
+    if flip:
+        # column ~x is column x read bottom-up
+        t_mat = np.concatenate([t_mat, t_mat[::-1, ::-1]], axis=1)
     t_mat /= K
     if cfg.mix_single_flip > 0.0:
         p = cfg.mix_single_flip
         t_mat = (1.0 - p) * t_mat + p * single_flip_matrix(model.L).proposal
-    return TransitionMatrix(proposal=t_mat)
+    return TransitionMatrix(proposal=(t_mat + t_mat.T) / 2)
 
 
 def single_flip_matrix(L: int) -> TransitionMatrix:
@@ -586,15 +603,22 @@ def uniform_matrix(L: int) -> TransitionMatrix:
 
 def assemble_kernel(t: TransitionMatrix, model: ClassicalSpinModel,
                     beta: float) -> TransitionMatrix:
-    """Full Metropolis kernel P = T o A with rejected mass on the diagonal."""
+    """Full Metropolis kernel P = T o A with rejected mass on the diagonal.
+
+    With an exactly symmetric T, P is reversible with respect to the
+    Boltzmann distribution, which is kept as ``stationary``.
+    """
     v = energy_table(model)
     if v.size != t.dimension:
         raise ValueError("matrix size does not match the model")
-    a = np.minimum(1.0, np.exp(-beta * (v[None, :] - v[:, None])))
+    # min(0, .) inside the exp: min(1, exp(.)) overflows uphill at large beta
+    a = np.exp(np.minimum(0.0, -beta * (v[None, :] - v[:, None])))
     p = t.proposal * a
     np.fill_diagonal(p, 0.0)
     np.fill_diagonal(p, 1.0 - p.sum(axis=1))
-    return TransitionMatrix(proposal=t.proposal, kernel=p)
+    pi = (boltzmann_distribution(model, beta)
+          if np.array_equal(t.proposal, t.proposal.T) else None)
+    return TransitionMatrix(proposal=t.proposal, kernel=p, stationary=pi)
 
 
 @dataclass(frozen=True)
@@ -606,14 +630,31 @@ class SpectralGap:
 def spectral_gap(p: np.ndarray | TransitionMatrix) -> SpectralGap:
     """delta = 1 - |lambda_2| of a row-stochastic kernel.
 
-    A gap at or below 1e-14 flags the chain as (numerically) reducible.
+    A kernel with a positive stationary pi is reversible, so its spectrum is
+    that of the symmetric sqrt(pi) P / sqrt(pi), taken by eigvalsh; a raw
+    array, an asymmetric proposal or a pi with an underflowed zero takes the
+    nonsymmetric eigvals.  A gap at or below 1e-14 flags the chain as
+    (numerically) reducible.
     """
     mat = p.kernel if isinstance(p, TransitionMatrix) else np.asarray(p)
     if mat is None:
         raise ValueError("kernel has not been assembled")
-    mods = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
+    pi = p.stationary if isinstance(p, TransitionMatrix) else None
+    if pi is not None and np.all(pi > 0):
+        vals = np.linalg.eigvalsh(_symmetrized(mat, pi))
+    else:
+        vals = np.linalg.eigvals(mat)
+    mods = np.sort(np.abs(vals))[::-1]
     delta = float(1.0 - mods[1]) if mods.size > 1 else 1.0
     return SpectralGap(delta=delta, reducible=delta <= REDUCIBLE_DELTA)
+
+
+def _symmetrized(p: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """sqrt(pi) P / sqrt(pi), symmetric for P reversible w.r.t. pi, with
+    its rounding averaged out of the transpose pair."""
+    root = np.sqrt(pi)
+    sym = (root[:, None] / root[None, :]) * p
+    return (sym + sym.T) / 2
 
 
 def exact_autocorrelation_time(p: np.ndarray, pi: np.ndarray,
@@ -624,8 +665,7 @@ def exact_autocorrelation_time(p: np.ndarray, pi: np.ndarray,
     the sampled estimator is checked against.
     """
     root = np.sqrt(pi)
-    sym = (root[:, None] / root[None, :]) * p
-    vals, vecs = np.linalg.eigh((sym + sym.T) / 2)
+    vals, vecs = np.linalg.eigh(_symmetrized(p, pi))
     g = f - pi @ f
     b = vecs.T @ (root * g)
     var = float(np.sum(b ** 2))

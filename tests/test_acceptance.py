@@ -347,8 +347,10 @@ RERUN_CSV_SHA256 = {
     # re-recorded for the Lanczos ground state: its last-bit E0 and vector
     # move the exact_eigenvector rows, which sit near 1e-16
     "fig2": "130ef531dbb2af31d03a5483cfb0332a05745b2c58e1f87f8e1ec78753e74c32",
+    # re-recorded for the flip-sector proposal matrix and the symmetric
+    # gap solver: only delta moved, by at most 1e-14
     "gap-sweep":
-        "a1223ec408b1ff1403362385670f29c72f2ab04461d82165e22791ad05e6e7ce",
+        "17d04ed49a765d46fcb3ffeb01e53e207a3bf33d90e6aed0d7118704878d38b4",
     "vqe-run":
         "0a91eb1d6f45d26c592d2ebf92a897c1242eb97e8c0fe7525a71f6e825876947",
     "vmc-run":

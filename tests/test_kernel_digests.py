@@ -15,7 +15,10 @@ are held bitwise to ``_evolved_columns_ref`` and ``_sector_columns_ref``,
 their bodies before they shared one eigh core, at L = 2..8.
 ``PROPOSAL_DIGESTS`` pins the quantum proposal's draws on each of its four
 propagators, and ``_sample_columns_ref`` keeps the per-column inverse-CDF
-sampler that the proposal once had, as the reference for its draw.  The
+sampler that the proposal once had, as the reference for its draw.
+``EXACT_DIGESTS`` pins the exact-kernel layer on spin glasses at L = 2..5:
+``spectral_gap`` on each input that keeps the nonsymmetric ``eigvals``,
+``exact_autocorrelation_time`` and the dense ``build_proposal_matrix``.  The
 layer-by-layer references in ``test_vqe.py`` call
 ``apply_exp_x`` and so run the kernel under test; these digests do not, so
 a change that moves one bit of any rotation shows here.  Run this file as a
@@ -32,10 +35,13 @@ from spinlab import qemcmc
 from spinlab.pauli import (FermionHamiltonian, PauliString, PauliSum,
                            group_qubitwise, map_fermionic)
 from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
-                            _evolved_columns, _quantum_step, _sector_columns,
-                            _trotter_columns, _x_sum_matrix,
-                            autocorrelation_time_pooled, energy_table,
-                            spin_glass_instance)
+                            TransitionMatrix, _evolved_columns, _quantum_step,
+                            _sector_columns, _trotter_columns, _x_sum_matrix,
+                            assemble_kernel, autocorrelation_time_pooled,
+                            boltzmann_distribution, build_proposal_matrix,
+                            energy_table, exact_autocorrelation_time,
+                            magnetization_table, single_flip_matrix,
+                            spectral_gap, spin_glass_instance, uniform_matrix)
 from spinlab.statevector import (_BASIS_ROT, StateVector, TFIMModel,
                                  _rotate_qubits, _x_gate, _x_sum, apply_exp_x,
                                  diagonal_values, evolve, rotate_to_basis)
@@ -714,6 +720,119 @@ def test_quantum_step_draw_matches_reference_sampler(monkeypatch):
         assert got.dtype == want.dtype and np.array_equal(got, want), trial
 
 
+# The exact-kernel layer on spin glasses at L = 2..5, sizes at which eigvals
+# and eigh keep their bits across BLAS thread counts.  The three
+# spectral_gap cases (a raw array, an asymmetric proposal, a Boltzmann
+# weight that underflows to zero) all run the nonsymmetric eigvals.
+EXACT_SIZES = (2, 3, 4, 5)
+
+
+def _glass(L, fields=False):
+    rng = np.random.default_rng(11000 + L)
+    h = rng.normal(size=L) if fields else np.zeros(L)
+    return ClassicalSpinModel(L, spin_glass_instance(L, rng).couplings, h)
+
+
+def _gap_raw_array(L):
+    m = _glass(L)
+    return (np.array([spectral_gap(assemble_kernel(t, m, beta).kernel).delta
+                      for t in (single_flip_matrix(L), uniform_matrix(L))
+                      for beta in (0.5, 2.0)]),)
+
+
+def _gap_asymmetric(L):
+    rng = np.random.default_rng(12000 + L)
+    t = rng.random((2 ** L, 2 ** L))
+    t /= t.sum(axis=1, keepdims=True)
+    return (np.array([spectral_gap(assemble_kernel(
+        TransitionMatrix(t), _glass(L), beta)).delta for beta in (0.5, 2.0)]),)
+
+
+def _gap_underflow(L):
+    """exp(-760) is below the smallest double, so the top state's weight
+    is zero."""
+    m = _glass(L, fields=True)
+    v = energy_table(m)
+    beta = 760.0 / (v.max() - v.min())
+    assert np.any(boltzmann_distribution(m, beta) == 0.0)
+    return (np.array([spectral_gap(assemble_kernel(t, m, beta)).delta
+                      for t in (single_flip_matrix(L), uniform_matrix(L))]),)
+
+
+def _exact_tau(L):
+    m = _glass(L, fields=True)
+    taus = []
+    for beta in (0.5, 2.0):
+        pi = boltzmann_distribution(m, beta)
+        for t in (single_flip_matrix(L), uniform_matrix(L)):
+            p = assemble_kernel(t, m, beta).kernel
+            taus += [exact_autocorrelation_time(p, pi, f)
+                     for f in (energy_table(m), magnetization_table(L))]
+    return (np.array(taus),)
+
+
+def _proposal_matrix_field(L):
+    """The dense build (a field breaks the flip symmetry), pinned after
+    (T + T.T) / 2, which leaves an exactly symmetric T bitwise alone."""
+    m = _glass(L, fields=True)
+    out = []
+    for mix in (0.0, 0.3):
+        cfg = QuantumProposalConfig(gamma_range=(0.2, 1.0),
+                                    mix_single_flip=mix)
+        t = build_proposal_matrix(m, cfg, 4,
+                                  np.random.default_rng(13000 + L)).proposal
+        out.append((t + t.T) / 2)
+    return tuple(out)
+
+
+EXACT_KERNELS = {
+    "spectral_gap_array": _gap_raw_array,
+    "spectral_gap_asymmetric": _gap_asymmetric,
+    "spectral_gap_underflow": _gap_underflow,
+    "exact_autocorrelation_time": _exact_tau,
+    "build_proposal_matrix_field": _proposal_matrix_field,
+}
+
+
+def _exact_cases():
+    return [(name, L) for name in EXACT_KERNELS for L in EXACT_SIZES]
+
+
+def _exact_id(name, L):
+    return f"{name}-L{L}"
+
+
+EXACT_DIGESTS = {
+    'spectral_gap_array-L2': '25ac596f24997d36',
+    'spectral_gap_array-L3': '6f3bcd3a0969a24f',
+    'spectral_gap_array-L4': 'c05e98f7e87ac987',
+    'spectral_gap_array-L5': 'dc9be407ee5386a4',
+    'spectral_gap_asymmetric-L2': '77e4a282815513ca',
+    'spectral_gap_asymmetric-L3': 'b24c98548b33dd89',
+    'spectral_gap_asymmetric-L4': 'eacd4b944c887dea',
+    'spectral_gap_asymmetric-L5': 'c83ba94bdafeb1a0',
+    'spectral_gap_underflow-L2': 'bf881abdd02907ef',
+    'spectral_gap_underflow-L3': '0d8ec5ccbda70cd6',
+    'spectral_gap_underflow-L4': 'df2a01783338ec6d',
+    'spectral_gap_underflow-L5': '206146f65028694f',
+    'exact_autocorrelation_time-L2': 'b489f8b8e1a0285c',
+    'exact_autocorrelation_time-L3': '2e78f7fc859b8347',
+    'exact_autocorrelation_time-L4': 'afddd1041366e435',
+    'exact_autocorrelation_time-L5': '9a1e549a83125727',
+    'build_proposal_matrix_field-L2': 'f007a323bd320f04',
+    'build_proposal_matrix_field-L3': '2b9cf654fc6e5360',
+    'build_proposal_matrix_field-L4': '6bbf40d870026963',
+    'build_proposal_matrix_field-L5': '07b5348c7bf0a90b',
+}
+
+
+@pytest.mark.parametrize("case", _exact_cases(),
+                         ids=[_exact_id(*c) for c in _exact_cases()])
+def test_exact_kernel_output_is_pinned(case):
+    name, L = case
+    assert _digest(*EXACT_KERNELS[name](L)) == EXACT_DIGESTS[_exact_id(*case)]
+
+
 def _gates():
     rng = np.random.default_rng(40)
     had = _BASIS_ROT["X"]
@@ -776,3 +895,7 @@ if __name__ == "__main__":
     print()
     for case in _proposal_cases():
         print(f"    {_proposal_id(*case)!r}: {_proposal_digest(*case)!r},")
+    print()
+    for case in _exact_cases():
+        print(f"    {_exact_id(*case)!r}: "
+              f"{_digest(*EXACT_KERNELS[case[0]](case[1]))!r},")
