@@ -13,13 +13,13 @@ lw = log |psi|^2 it accepts a flip i -> p when log u < lw[p] - lw[i]
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .qemcmc import _check_counts, _metropolis
-from .statevector import (SpinConfiguration, TFIMModel, _x_sum, _zz_levels,
-                          all_spin_values)
+from .statevector import SpinConfiguration, TFIMModel, _x_sum, _zz_levels
 from .vqe import EnergyEstimate, _ridge_solve
 
 TABLE_CAP = 20  # build full 2^L lookup tables up to this many sites
@@ -49,7 +49,11 @@ class JastrowAnsatz:
 
     def log_psi_spins(self, spins: np.ndarray) -> np.ndarray:
         """log psi for every row of an (n, L) spin matrix."""
-        o = _log_derivative_matrix(self, np.atleast_2d(np.asarray(spins)))
+        return self._log_psi(_log_derivative_matrix(
+            self, np.atleast_2d(np.asarray(spins))))
+
+    def _log_psi(self, o: np.ndarray) -> np.ndarray:
+        """sum_r lam_r O_r per row of an (n, L/2) feature matrix, r ascending."""
         out = np.zeros(o.shape[0])
         for r, lam_r in enumerate(self.lam):
             out += lam_r * o[:, r]
@@ -62,7 +66,7 @@ class JastrowAnsatz:
         """psi over all 2^L basis indices (positive reals)."""
         if self.L > TABLE_CAP:
             raise ValueError("table too large")
-        return np.exp(self.log_psi_spins(all_spin_values(self.L)))
+        return np.exp(self._log_psi(_feature_table(self.L)))
 
 
 @dataclass(frozen=True)
@@ -256,6 +260,23 @@ def _log_derivative_matrix(a: JastrowAnsatz, spins: np.ndarray) -> np.ndarray:
                      for r in range(1, a.L // 2 + 1)], axis=1).astype(float)
 
 
+@lru_cache(maxsize=4)
+def _feature_table(L: int) -> np.ndarray:
+    """(2^L, L/2) int8 table of O_r over every basis index, read-only.
+
+    s_k s_{k+r} is -1 exactly where bits k and k + r (mod L) of the index
+    differ, so O_r(x) = L - 2 popcount(x ^ rot_r(x)), with rot_r the cyclic
+    shift that moves bit k + r to bit k.  The values lie in [-L, L].
+    """
+    x = np.arange(2 ** L, dtype=np.uint64)
+    table = np.empty((x.size, L // 2), dtype=np.int8)
+    for r in range(1, L // 2 + 1):
+        rot = ((x >> r) | (x << (L - r))) & (2 ** L - 1)
+        table[:, r - 1] = L - 2 * np.bitwise_count(x ^ rot).astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
 def sr_step(a: JastrowAnsatz, samples: Sequence[LocalEnergyRecord],
             delta: float, lam_reg: float | None = None) -> JastrowAnsatz:
     """One preconditioned update lam' = lam + delta (S + reg I)^{-1} f.
@@ -293,13 +314,14 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
 
     Each step draws samples_per_step records spread over 64 warm chains,
     applies one sr_step, and logs the exact variational energy.  The
+    features O_r of the drawn records are read from the lambda-independent
+    per-index table that amplitude_table also reads, built once per L.  The
     returned parameters average the final quarter of the history to shave
     off the stochastic dither around the optimum.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     a = JastrowAnsatz(model.L, (0.0,) * (model.L // 2))
-    spins_all = all_spin_values(model.L)
     per_chain = max(1, samples_per_step // 64)
     state = rng.integers(0, 2 ** model.L, size=64)
     energies = np.empty(n_steps)
@@ -312,7 +334,7 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
         state = idx[:, -1].copy()
         flat = idx.reshape(-1)
         e_loc = local_energy_table(a, model)[flat]
-        o = _log_derivative_matrix(a, spins_all[flat])
+        o = _feature_table(model.L)[flat].astype(float)
         new_lam = _sr_update(np.asarray(a.lam), o, e_loc, delta, None)
         a = a.with_lam(new_lam)
         lam_hist[step] = new_lam

@@ -4,9 +4,11 @@ The ansatz alternates evolutions under the two non-commuting parts of the
 transverse-field Ising Hamiltonian, starting from the all-plus state.  Energy
 estimation emulates projective measurement of qubit-wise commuting groups;
 every string in a group is read off the same shot record, and repeated
-estimates on one state share each group's basis rotation
-(``estimate_energy_pauli_batch``).  Optimizers work on the exact state
-vector; shot noise enters only through explicit injection.
+estimates on one state (``estimate_energy_pauli_batch``) share each group's
+per-state tables, built once per call: the CDF of the rotated state, its
+guide table and, with at least 2^L shots, the +-1 sign of every member
+string on every basis index.  Optimizers work on the exact state vector;
+shot noise enters only through explicit injection.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from .statevector import (
     SpinConfiguration,
     TFIMModel,
     _check_hermitian,
+    _guide_table,
     _hva_layer,
+    _inverse_cdf,
+    _normalized_cdf,
     _x_sum,
     _zz_levels,
     apply_pauli_sum,
@@ -175,33 +180,39 @@ def estimate_energy_pauli_batch(s: StateVector, h: PauliSum,
                                 ) -> list[EnergyEstimate]:
     """One ``estimate_energy_pauli`` per generator in rngs, bitwise equal.
 
-    Each group's basis rotation runs once for all repetitions, which then
-    draw from it one after another, rngs[r] serving repetition r.  A
-    generator gives every repetition's draws in group order, the stream the
-    single call consumes, and only one group's rotated state is alive at a
-    time.  A generator listed more than once serves its estimates one after
-    another, as that many single calls in a row on it.
+    Each group's rotated CDF and inverse-CDF guide table are built once for
+    all repetitions, and with at least 2^L shots so is the +-1 sign of every
+    member string on every basis index, which the draws then gather.  Only
+    one rotated state is alive at a time.  Repetition r then draws every
+    group in order from rngs[r], the stream the single call consumes, so a
+    generator listed n times serves n single calls in a row on it.
     """
     if len(plan.shots_per_group) != groups.n_groups:
         raise ValueError("plan does not match the number of groups")
     _check_hermitian(h)
-    if len({id(rng) for rng in rngs}) < len(rngs):
-        return [estimate_energy_pauli(s, h, groups, plan, rng) for rng in rngs]
-    means = [h.identity_coefficient().real] * len(rngs)
-    vars_of_mean = [0.0] * len(rngs)
+    tables = []
     for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):
-        rotated = rotate_to_basis(s, basis)
+        cum = _normalized_cdf(rotate_to_basis(s, basis).probabilities())
+        guide = _guide_table(cum, m)
         coeffs = np.array([h.terms[i][0].real for i in grp])
         masks = np.array([h.terms[i][1].mask() for i in grp], dtype=np.uint64)
-        for r, rng in enumerate(rngs):
-            weighted = coeffs @ _string_values(masks,
-                                               sample_indices(rotated, m, rng))
-            means[r] += float(weighted.mean())
+        # (|g|, 2^L), never larger than the (|g|, m) signs of one draw
+        signs = None if guide is None else _string_values(
+            masks, np.arange(cum.size))
+        tables.append((m, cum, guide, coeffs, masks, signs))
+    out = []
+    for rng in rngs:
+        mean, var_of_mean = h.identity_coefficient().real, 0.0
+        for m, cum, guide, coeffs, masks, signs in tables:
+            idx = _inverse_cdf(cum, guide, rng.random(m))
+            weighted = coeffs @ (_string_values(masks, idx) if signs is None
+                                 else signs.take(idx, axis=1))
+            mean += float(weighted.mean())
             if m > 1:
-                vars_of_mean[r] += float(weighted.var(ddof=1)) / m
-    return [EnergyEstimate(mean=mean, stderr=float(np.sqrt(var_of_mean)),
-                           shots_used=plan.total)
-            for mean, var_of_mean in zip(means, vars_of_mean)]
+                var_of_mean += float(weighted.var(ddof=1)) / m
+        out.append(EnergyEstimate(mean=mean, stderr=float(np.sqrt(var_of_mean)),
+                                  shots_used=plan.total))
+    return out
 
 
 def predicted_error(s: StateVector, h: PauliSum, plan: ShotPlan,

@@ -18,7 +18,10 @@ propagators, and ``_sample_columns_ref`` keeps the per-column inverse-CDF
 sampler that the proposal once had, as the reference for its draw.
 ``EXACT_DIGESTS`` pins the exact-kernel layer on spin glasses at L = 2..5:
 ``spectral_gap`` on each input that keeps the nonsymmetric ``eigvals``,
-``exact_autocorrelation_time`` and the dense ``build_proposal_matrix``.  The
+``exact_autocorrelation_time`` and the dense ``build_proposal_matrix``.
+``SAMPLING_DIGESTS`` pins ``run_sr_optimization`` and the grouped estimator
+with one generator listed five times, recorded before either built its
+per-state tables once.  The
 layer-by-layer references in ``test_vqe.py`` call
 ``apply_exp_x`` and so run the kernel under test; these digests do not, so
 a change that moves one bit of any rotation shows here.  Run this file as a
@@ -46,10 +49,10 @@ from spinlab.statevector import (_BASIS_ROT, StateVector, TFIMModel,
                                  _rotate_qubits, _x_gate, _x_sum, apply_exp_x,
                                  diagonal_values, evolve, rotate_to_basis)
 from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz, _sr_update,
-                         local_energy_table)
+                         local_energy_table, run_sr_optimization)
 from spinlab.vqe import (HVAnsatz, ShotPlan, energy_and_gradient,
-                         estimate_energy_pauli, natural_gradient_step,
-                         prepare, sr_matrix)
+                         estimate_energy_pauli, estimate_energy_pauli_batch,
+                         natural_gradient_step, prepare, sr_matrix)
 
 SIZES = (1, 2, 5, 8, 10)
 MODELS = ((1.0, 1.0, True), (0.8, 1.3, True), (-0.6, 0.4, False))
@@ -833,6 +836,67 @@ def test_exact_kernel_output_is_pinned(case):
     assert _digest(*EXACT_KERNELS[name](L)) == EXACT_DIGESTS[_exact_id(*case)]
 
 
+# The two sampling estimators end to end, on non-integer (J, Gamma): the SR
+# loop's energies and lambda history, and the grouped estimator with one
+# generator listed five times, at shot counts on both sides of the
+# guide-table rule.
+def _sr_run(model):
+    run = run_sr_optimization(model, n_steps=4, samples_per_step=640,
+                              rng=np.random.default_rng(14000 + model.L))
+    return run.energies, run.lam_history, np.array(run.ansatz.lam)
+
+
+def _estimate_shared_rng(model):
+    s = prepare(_ansatz(model))
+    out = []
+    for h in (model.as_pauli_sum(), _mixed_sum(model.L)):
+        groups = group_qubitwise(h)
+        plans = (ShotPlan.uniform(groups.n_groups, 100),
+                 ShotPlan(tuple(range(250, 250 + 5 * groups.n_groups, 5))))
+        for seed, plan in enumerate(plans):
+            ests = estimate_energy_pauli_batch(
+                s, h, groups, plan, [np.random.default_rng(seed)] * 5)
+            out += [[e.mean, e.stderr, e.shots_used] for e in ests]
+    return (np.array(out),)
+
+
+SAMPLING_KERNELS = {
+    "run_sr_optimization": (_sr_run, (4, 6, 10)),
+    "estimate_energy_pauli_batch_shared": (_estimate_shared_rng, (4, 8)),
+}
+
+
+def _sampling_cases():
+    return [(name, L, J, gamma, periodic)
+            for name, (_, sizes) in SAMPLING_KERNELS.items()
+            for L in sizes for J, gamma, periodic in MODELS[1:]]
+
+
+def _sampling_digest(name, L, J, gamma, periodic):
+    model = TFIMModel(L=L, J=J, Gamma=gamma, periodic=periodic)
+    return _digest(*SAMPLING_KERNELS[name][0](model))
+
+
+SAMPLING_DIGESTS = {
+    'run_sr_optimization-L4-J0.8-G1.3-pbc': '5bcfe1677d184047',
+    'run_sr_optimization-L4-J-0.6-G0.4-obc': 'cb99568ab256f14d',
+    'run_sr_optimization-L6-J0.8-G1.3-pbc': '66b54cdd36f615b0',
+    'run_sr_optimization-L6-J-0.6-G0.4-obc': '1ccf4fe9aba6cb79',
+    'run_sr_optimization-L10-J0.8-G1.3-pbc': '0af886c46c88525a',
+    'run_sr_optimization-L10-J-0.6-G0.4-obc': '0ca5dfd9fc198fd3',
+    'estimate_energy_pauli_batch_shared-L4-J0.8-G1.3-pbc': '1be6fcf752a3552b',
+    'estimate_energy_pauli_batch_shared-L4-J-0.6-G0.4-obc': '8abb98ef8c7bd178',
+    'estimate_energy_pauli_batch_shared-L8-J0.8-G1.3-pbc': '8063aeb9172a7520',
+    'estimate_energy_pauli_batch_shared-L8-J-0.6-G0.4-obc': 'b5df6cf92d5290f7',
+}
+
+
+@pytest.mark.parametrize("case", _sampling_cases(),
+                         ids=[_case_id(*c) for c in _sampling_cases()])
+def test_sampling_estimator_output_is_pinned(case):
+    assert _sampling_digest(*case) == SAMPLING_DIGESTS[_case_id(*case)]
+
+
 def _gates():
     rng = np.random.default_rng(40)
     had = _BASIS_ROT["X"]
@@ -899,3 +963,6 @@ if __name__ == "__main__":
     for case in _exact_cases():
         print(f"    {_exact_id(*case)!r}: "
               f"{_digest(*EXACT_KERNELS[case[0]](case[1]))!r},")
+    print()
+    for case in _sampling_cases():
+        print(f"    {_case_id(*case)!r}: {_sampling_digest(*case)!r},")

@@ -1,5 +1,7 @@
 """Jastrow ansatz, Metropolis sampling, local energy, SR, and the toy model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,7 +9,8 @@ import scipy.stats
 from spinlab.statevector import (SpinConfiguration, TFIMModel,
                                  all_spin_values, ground_state)
 from spinlab.vmc import (AmplitudeTableAnsatz, GaussianToy, JastrowAnsatz,
-                         LocalEnergyRecord, estimate_energy_vmc,
+                         LocalEnergyRecord, _feature_table,
+                         _log_derivative_matrix, estimate_energy_vmc,
                          estimate_energy_vmc_batch,
                          gaussian_local_energy, harmonic_local_energy,
                          local_energy_records, local_energy_table,
@@ -324,6 +327,47 @@ class TestLogDerivatives:
         rolled = spins[3:] + spins[:3]
         assert np.allclose(base,
                            log_derivatives(a, SpinConfiguration(rolled)))
+
+
+class TestFeatureTable:
+    @pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
+    def test_equals_features_of_every_spin_row(self, L):
+        got = _feature_table(L)
+        want = _log_derivative_matrix(JastrowAnsatz(L, (0.0,) * (L // 2)),
+                                      all_spin_values(L))
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert got.astype(float).tobytes() == want.tobytes()
+
+    def test_cached_read_only_int8_within_bound_at_16_sites(self):
+        """A float64 table would take 4 MiB at L = 16; int8 takes 0.5."""
+        _feature_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = _feature_table(16)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.dtype == np.int8 and table.shape == (2 ** 16, 8)
+        assert kept <= 0.6 * 2 ** 20
+        assert not table.flags.writeable
+        assert _feature_table(16) is table
+
+    def test_amplitude_table_equals_exp_log_psi_at_16_sites(self):
+        lam = tuple(np.random.default_rng(16).normal(size=8) / 16)
+        a = JastrowAnsatz(16, lam)
+        want = np.exp(a.log_psi_spins(all_spin_values(16)))
+        assert a.amplitude_table().tobytes() == want.tobytes()
+
+    def test_sr_loop_reads_the_table(self, monkeypatch):
+        """No feature is rebuilt from spin rows inside the step loop."""
+        def no_roll(*args, **kwargs):
+            raise AssertionError("np.roll called")
+
+        monkeypatch.setattr(np, "roll", no_roll)
+        run = run_sr_optimization(TFIMModel(L=6), n_steps=3,
+                                  samples_per_step=256,
+                                  rng=np.random.default_rng(3))
+        assert run.lam_history.shape == (3, 3)
 
 
 class TestSRStep:

@@ -1,5 +1,6 @@
 """Circuit-ansatz preparation, shot-noise estimation, and optimizers."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from spinlab.pauli import (MeasurementGroups, PauliString, PauliSum,
 from spinlab.statevector import (SpinConfiguration, StateVector, TFIMModel,
                                  apply_exp_x, apply_exp_zz, apply_pauli_sum,
                                  basis_state, ground_state, init_plus)
-from spinlab.statevector import expectation, rotate_to_basis, sample_indices
+from spinlab.statevector import expectation, rotate_to_basis
 from spinlab import vqe
 from spinlab.vqe import (HVAnsatz, ShotPlan, _string_values,
                          amplitude_ratio_estimate, energy_and_gradient,
@@ -334,27 +335,100 @@ class TestEstimateEnergyPauliBatch:
         assert rng.random() == np.random.default_rng(5).random(
             12 * plan.total + 1)[-1]
 
-    def test_draws_one_group_at_a_time_through_sample_indices(
+    def test_rotates_one_group_at_a_time_and_draws_every_shot(
             self, monkeypatch):
-        # each group's rotated state is dropped before the next one's draws,
-        # and every shot goes through the public sample_indices
+        # each group's rotated state is dropped before the next group is
+        # rotated, and each generator gives exactly plan.total uniforms
         h = _mixed_sum(8, 3)
         groups = group_qubitwise(h)
         assert groups.n_groups > 2
         plan = ShotPlan.uniform(groups.n_groups, 500)
         s = prepare(_bitwise_ansatz(8, 1.0, 1.0, True))
-        rotated, shots = [], []
+        rotated = []
 
-        def traced_sample(state, M, rng):
-            rotated.append(weakref.ref(state))
-            assert {id(r()) for r in rotated if r() is not None} == {id(state)}
-            shots.append(M)
-            return sample_indices(state, M, rng)
+        def traced_rotate(state, basis):
+            assert all(r() is None for r in rotated)
+            out = rotate_to_basis(state, basis)
+            rotated.append(weakref.ref(out))
+            return out
 
-        monkeypatch.setattr(vqe, "sample_indices", traced_sample)
+        monkeypatch.setattr(vqe, "rotate_to_basis", traced_rotate)
         rngs = [np.random.default_rng(r) for r in range(3)]
         estimate_energy_pauli_batch(s, h, groups, plan, rngs)
-        assert sum(shots) == len(rngs) * plan.total
+        assert len(rotated) == groups.n_groups
+        assert all(r() is None for r in rotated)
+        for r, rng in enumerate(rngs):
+            assert rng.random() == np.random.default_rng(r).random(
+                plan.total + 1)[-1]
+
+    def test_mixed_generators_are_single_calls_in_order(self):
+        h = _mixed_sum(6, 4)
+        groups = group_qubitwise(h)
+        plan = ShotPlan(tuple(40 + 30 * g for g in range(groups.n_groups)))
+        s = prepare(_bitwise_ansatz(6, 0.8, 1.3, True))
+        r0, r1 = np.random.default_rng(1), np.random.default_rng(2)
+        batch = estimate_energy_pauli_batch(s, h, groups, plan, [r0, r1, r0])
+        q0, q1 = np.random.default_rng(1), np.random.default_rng(2)
+        assert batch == [estimate_energy_pauli(s, h, groups, plan, q)
+                         for q in (q0, q1, q0)]
+        assert (r0.random(), r1.random()) == (q0.random(), q1.random())
+
+    @pytest.mark.parametrize("m", [1023, 1024])
+    def test_sign_table_built_only_from_2_to_the_L_shots(self, m,
+                                                         monkeypatch):
+        # 2^10 = 1024 basis indices: the guide table and the sign table
+        # exist only when the shots cover them
+        h = TFIMModel(L=10, J=0.8, Gamma=1.3).as_pauli_sum()
+        groups = group_qubitwise(h)
+        plan = ShotPlan.uniform(groups.n_groups, m)
+        s = prepare(_bitwise_ansatz(10, 0.8, 1.3, True))
+        tables, draws = [], []
+
+        def spy(masks, indices):
+            idx = np.asarray(indices)
+            whole = idx.size == 1024 and np.array_equal(idx, np.arange(1024))
+            (tables if whole else draws).append(len(masks))
+            return _string_values(masks, indices)
+
+        monkeypatch.setattr(vqe, "_string_values", spy)
+        ests = estimate_energy_pauli_batch(
+            s, h, groups, plan, [np.random.default_rng(r) for r in range(3)])
+        if m == 1024:
+            assert tables == [len(g) for g in groups.groups] and not draws
+        else:
+            assert not tables and len(draws) == 3 * groups.n_groups
+        for r, est in enumerate(ests):
+            assert (est.mean, est.stderr, est.shots_used) == _ref_estimate(
+                s, h, groups, plan, np.random.default_rng(r))
+
+    def test_no_generators_no_estimates_no_draws(self, monkeypatch):
+        h = TFIMModel(L=4).as_pauli_sum()
+        groups = group_qubitwise(h)
+        drawn = []
+        monkeypatch.setattr(vqe, "_inverse_cdf",
+                            lambda *args: drawn.append(args))
+        assert estimate_energy_pauli_batch(
+            init_plus(4), h, groups,
+            ShotPlan.uniform(groups.n_groups, 100), []) == []
+        assert drawn == []
+
+    def test_no_sign_table_below_2_to_the_L_shots(self):
+        """At L = 16, 1000 shots per group: a (16, 2^16) sign table would
+        take 8 MiB per group; the bound allows four state-sized arrays."""
+        L = 16
+        h = TFIMModel(L=L, J=0.8, Gamma=1.3).as_pauli_sum()
+        groups = group_qubitwise(h)
+        assert max(len(g) for g in groups.groups) == L
+        s = init_plus(L)
+        tracemalloc.start()
+        try:
+            estimate_energy_pauli_batch(
+                s, h, groups, ShotPlan.uniform(groups.n_groups, 1000),
+                [np.random.default_rng(0)] * 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * 2 ** L
 
     def test_plan_size_mismatch_rejected(self):
         h = TFIMModel(L=4).as_pauli_sum()
