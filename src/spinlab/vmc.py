@@ -98,9 +98,9 @@ class AmplitudeTableAnsatz:
         return self.table
 
 
-def _log_weight_table(a) -> np.ndarray:
+def _log_weights(amp: np.ndarray) -> np.ndarray:
     """log of the unnormalized sampling weight |psi|^2 per basis index."""
-    amp = np.abs(np.asarray(a.amplitude_table(), dtype=complex))
+    amp = np.abs(np.asarray(amp, dtype=complex))
     with np.errstate(divide="ignore"):
         return 2.0 * np.log(amp)
 
@@ -115,7 +115,12 @@ def local_energy_table(a, model: TFIMModel) -> np.ndarray:
     E_L(x) = -J sum_k s_k s_{k+1} - Gamma sum_k psi(x^(k))/psi(x) with x^(k)
     the single-flip neighbor.  Entries where psi(x) = 0 come out nan.
     """
-    amp = np.asarray(a.amplitude_table())
+    return _local_energies(a.amplitude_table(), model)
+
+
+def _local_energies(amp: np.ndarray, model: TFIMModel) -> np.ndarray:
+    """local_energy_table from the amplitude table."""
+    amp = np.asarray(amp)
     levels, inv = _zz_levels(model.L, model.periodic)
     ratio_sum = _x_sum(amp, model.L)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -165,10 +170,14 @@ def local_energy_records(a, configs: Sequence[SpinConfiguration],
 
 def rayleigh_quotient(a, model: TFIMModel) -> float:
     """<psi|H|psi>/<psi|psi> by full enumeration (the exact variational energy)."""
-    amp = np.asarray(a.amplitude_table(), dtype=complex)
-    p = np.abs(amp) ** 2
+    amp = a.amplitude_table()
+    return _rayleigh(amp, _local_energies(amp, model))
+
+
+def _rayleigh(amp: np.ndarray, e: np.ndarray) -> float:
+    """rayleigh_quotient from the amplitude and local-energy tables."""
+    p = np.abs(np.asarray(amp, dtype=complex)) ** 2
     p = p / p.sum()
-    e = local_energy_table(a, model)
     mask = p > 0
     return float(np.real(np.sum(p[mask] * e[mask])))
 
@@ -188,12 +197,20 @@ def run_metropolis_chains(a, n_chains: int, n_records: int, burn_in: int,
     """
     _check_counts(0, n_records=n_records, burn_in=burn_in)
     _check_counts(1, n_chains=n_chains, thinning=thinning)
-    L = a.L
+    return _single_flip_chains(_log_weights(a.amplitude_table()), a.L,
+                               n_chains, n_records, burn_in, thinning, rng,
+                               initial)
 
+
+def _single_flip_chains(lw: np.ndarray, L: int, n_chains: int,
+                        n_records: int, burn_in: int, thinning: int,
+                        rng: np.random.Generator,
+                        initial: np.ndarray | None) -> np.ndarray:
+    """run_metropolis_chains on the log-weight table lw."""
     def draw(n, idx):
         return 1 << rng.integers(0, L, size=(n, n_chains))
 
-    return _metropolis(_log_weight_table(a), 1.0, initial, n_chains,
+    return _metropolis(lw, 1.0, initial, n_chains,
                        burn_in + n_records * thinning, burn_in, thinning, rng,
                        draw, 4096, flip=True)[0]
 
@@ -314,10 +331,12 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
 
     Each step draws samples_per_step records spread over 64 warm chains,
     applies one sr_step, and logs the exact variational energy.  The
-    features O_r of the drawn records are read from the lambda-independent
-    per-index table that amplitude_table also reads, built once per L.  The
-    returned parameters average the final quarter of the history to shave
-    off the stochastic dither around the optimum.
+    amplitude, log-weight and local-energy tables are built once per lambda:
+    those of step k's update serve its exact energy and step k + 1's
+    sampling.  The features O_r of the drawn records are read from the
+    lambda-independent per-index table that amplitude_table also reads,
+    built once per L.  The returned parameters average the final quarter of
+    the history to shave off the stochastic dither around the optimum.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -327,18 +346,23 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
     energies = np.empty(n_steps)
     lam_hist = np.empty((n_steps, model.L // 2))
     burn = default_burn_in(model.L)
+    amp = a.amplitude_table()
+    e_table = _local_energies(amp, model)
     for step in range(n_steps):
-        idx = run_metropolis_chains(a, 64, per_chain,
-                                    burn if step == 0 else 2 * model.L * model.L,
-                                    model.L, rng, initial=state)
+        idx = _single_flip_chains(
+            _log_weights(amp), model.L, 64, per_chain,
+            burn if step == 0 else 2 * model.L * model.L, model.L, rng,
+            state)
         state = idx[:, -1].copy()
         flat = idx.reshape(-1)
-        e_loc = local_energy_table(a, model)[flat]
+        e_loc = e_table[flat]
         o = _feature_table(model.L)[flat].astype(float)
         new_lam = _sr_update(np.asarray(a.lam), o, e_loc, delta, None)
         a = a.with_lam(new_lam)
         lam_hist[step] = new_lam
-        energies[step] = rayleigh_quotient(a, model)
+        amp = a.amplitude_table()
+        e_table = _local_energies(amp, model)
+        energies[step] = _rayleigh(amp, e_table)
     tail = max(1, n_steps // 4)
     a_final = a.with_lam(lam_hist[-tail:].mean(axis=0))
     return SRRun(ansatz=a_final, energies=energies, lam_history=lam_hist)

@@ -7,6 +7,9 @@ pre-drawn block boundaries (4096 steps for VMC, 8192 for classical chains)
 with record intervals that do not divide the step count, so any change in
 the order in which the kernel consumes the random stream shows here.  Run
 this file as a script to print the digests of the code as it stands.
+
+The kernel's per-step loop is compiled C; ``_reference_metropolis`` below is
+the numpy loop it replaced, and the compiled loop must match it bit for bit.
 """
 
 import hashlib
@@ -14,9 +17,11 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
-                            ferromagnetic_chain, run_chain,
+                            _metropolis, ferromagnetic_chain, run_chain,
                             spin_glass_instance)
 from spinlab.statevector import apply_exp_x, apply_exp_zz, sample_indices
 from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz,
@@ -271,6 +276,125 @@ def test_benchmark_tracer_reads_chain_arguments_by_position():
                                               "n_chains")
     assert names(sample_indices)[1] == "M"
     assert names(apply_exp_zz)[0] == names(apply_exp_x)[0] == "s"
+
+
+def _reference_metropolis(table, scale, initial, n_chains, steps, burn_in,
+                          thinning, rng, draw, block, flip):
+    """The numpy loop that _metropolis ran before its compiled one."""
+    dim = table.size
+    if initial is None:
+        idx = rng.integers(0, dim, size=n_chains)
+        while np.any(np.isinf(table[idx])):
+            bad = np.isinf(table[idx])
+            idx[bad] = rng.integers(0, dim, size=int(bad.sum()))
+    else:
+        idx = np.asarray(initial).astype(np.int64)
+    records = np.empty((n_chains, (steps - burn_in) // thinning),
+                       dtype=np.int64)
+    takes = np.empty((min(block, steps), n_chains), dtype=bool)
+    accepted = rec = 0
+    next_rec = burn_in + thinning
+    for done in range(0, steps, block):
+        n = min(block, steps - done)
+        moves = draw(n, idx)
+        logu = np.log(rng.random(size=(n, n_chains)))
+        for step, (move, lu, take) in enumerate(zip(moves, logu, takes),
+                                                done + 1):
+            prop = idx ^ move if flip else move
+            d = table[prop] - table[idx]
+            np.less(lu, d if scale == 1.0 else scale * d, out=take)
+            idx = np.where(take, prop, idx)
+            if step == next_rec:
+                records[:, rec] = idx
+                rec += 1
+                next_rec += thinning
+        accepted += int(np.count_nonzero(takes[:n]))
+    return records, accepted
+
+
+def _run_kernel(kernel, table, scale, start, n_chains, steps, burn_in,
+                thinning, block, flip, seed):
+    rng = np.random.default_rng(seed)
+    L = table.size.bit_length() - 1
+
+    def draw(n, idx):
+        if flip:
+            return 1 << rng.integers(0, L, size=(n, n_chains))
+        return rng.integers(0, table.size, size=(n, n_chains))
+
+    records, accepted = kernel(table, scale, start, n_chains, steps, burn_in,
+                               thinning, rng, draw, block, flip)
+    # the same stream consumed: the next draw agrees too
+    return records, accepted, rng.random()
+
+
+@settings(max_examples=80, deadline=None)
+@given(L=st.integers(1, 6), flip=st.booleans(),
+       scale=st.sampled_from([1.0, -1.3, 0.7]),
+       specials=st.sampled_from(["finite", "-inf", "nan", "both"]),
+       block=st.sampled_from([1, 3, 4096]),
+       n_chains=st.sampled_from([1, 16, 64, 100]),
+       burn_in=st.integers(0, 40), thinning=st.integers(1, 17),
+       extra=st.integers(0, 200), start=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(L=5, flip=True, scale=1.0, specials="both", block=4096,
+         n_chains=16, burn_in=7, thinning=13, extra=4200, start=False,
+         seed=3)
+@example(L=4, flip=False, scale=-1.3, specials="-inf", block=4096,
+         n_chains=100, burn_in=0, thinning=7, extra=4100, start=True, seed=4)
+def test_compiled_loop_matches_numpy_reference(L, flip, scale, specials,
+                                               block, n_chains, burn_in,
+                                               thinning, extra, start, seed):
+    gen = np.random.default_rng(seed)
+    table = gen.normal(size=2 ** L)
+    # index 0 stays finite, so every start draw can end
+    if specials in ("-inf", "both"):
+        table[1:][gen.random(2 ** L - 1) < 0.3] = -np.inf
+    if specials in ("nan", "both"):
+        table[1:][gen.random(2 ** L - 1) < 0.2] = np.nan
+    initial = gen.integers(0, 2 ** L, size=n_chains) if start else None
+    steps = burn_in + extra
+    args = (table, scale, initial, n_chains, steps, burn_in, thinning, block,
+            flip, seed)
+    records, accepted, after = _run_kernel(_metropolis, *args)
+    # -inf - -inf is nan in both loops; only numpy warns about it
+    with np.errstate(invalid="ignore"):
+        ref_records, ref_accepted, ref_after = _run_kernel(
+            _reference_metropolis, *args)
+    np.testing.assert_array_equal(records, ref_records)
+    assert accepted == ref_accepted
+    assert after == ref_after
+
+
+@pytest.mark.parametrize("flip,move,proposal", [
+    (False, 16, 16), (False, -1, -1), (True, 16, 3 ^ 16),
+    (True, 1 << 40, 3 ^ (1 << 40)), (True, -8, 3 ^ -8)],
+    ids=["state-past-end", "negative-state", "mask-past-end", "wide-mask",
+         "negative-mask"])
+def test_out_of_range_proposal_raises_index_error(flip, move, proposal):
+    # the other moves keep each chain where it is (mask 0, or its own
+    # state), so chain 1 is at 3 when the bad move ends the first block
+    def draw(n, idx):
+        moves = np.zeros((n, 2), dtype=np.int64)
+        if not flip:
+            moves[:, 1] = 3
+        moves[-1, 1] = move
+        return moves
+
+    with pytest.raises(IndexError,
+                       match=rf"proposal {proposal} lies outside .*\[0, 16\)"):
+        _metropolis(np.zeros(16), 1.0, np.array([0, 3]), 2, 12, 0, 1,
+                    np.random.default_rng(0), draw, 4, flip)
+
+
+@pytest.mark.parametrize("moves", [np.zeros((4, 3), dtype=np.int64),
+                                   np.zeros((2, 2), dtype=np.int64),
+                                   np.zeros((4, 2))],
+                         ids=["too-many-chains", "too-few-steps", "float"])
+def test_malformed_draw_raises_index_error(moves):
+    with pytest.raises(IndexError, match="integer moves"):
+        _metropolis(np.zeros(16), 1.0, np.array([0, 3]), 2, 12, 0, 1,
+                    np.random.default_rng(0), lambda n, idx: moves, 4, True)
 
 
 if __name__ == "__main__":
