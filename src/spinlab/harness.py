@@ -46,16 +46,15 @@ L10_JASTROW_OPTIMUM = (0.220, 0.057, 0.030, 0.022, 0.010)
 LAM1_GRID = (-0.15, -0.05, 0.05, 0.12, 0.18, 0.220)
 
 
-def derive_seed(master_seed: int, experiment: str, task_index: int) -> int:
-    """Stable 64-bit stream seed from (master, experiment, task)."""
-    blob = f"{master_seed}:{experiment}:{task_index}".encode()
+def derive_seed(master_seed: int, label: str, task_index: int) -> int:
+    """Stable 64-bit seed of the stream (master, stream label, task)."""
+    blob = f"{master_seed}:{label}:{task_index}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
 
 
-def task_rng(master_seed: int, experiment: str,
+def task_rng(master_seed: int, label: str,
              task_index: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master_seed, experiment,
-                                             task_index))
+    return np.random.default_rng(derive_seed(master_seed, label, task_index))
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +186,12 @@ _PROPOSALS = Param("proposals", str, ("quantum", "single-flip"), many=True,
 _CLASSICAL_MATRICES = {"single-flip": single_flip_matrix,
                        "uniform": uniform_matrix}
 
-_TFIM = (Param("L", int, 10), Param("J", float, 1.0),
+_TFIM = (Param("L", int, 10, low=1), Param("J", float, 1.0),
          Param("Gamma", float, 1.0))
 _VQE_MODEL = tuple(p._replace(key="model." + p.key) for p in _TFIM)
 _OPTIMIZER = (Param("optimizer.method", str, "quasi-newton",
                     choices=tuple(METHOD_ALIASES), anycase=True),
-              Param("optimizer.restarts", int, 4),
+              Param("optimizer.restarts", int, 4, low=0),
               Param("optimizer.max_iter", int, 40))
 _JASTROW = (Param("lam1_grid", float, LAM1_GRID, many=True),
             Param("jastrow_tail", float, L10_JASTROW_OPTIMUM[1:], many=True,
@@ -258,24 +257,39 @@ def write_csv(path: Path, header: Sequence[str],
 
 
 def _run_tasks(fn: Callable, args_list: list, threads: int) -> list:
-    """Apply fn to each argument tuple, optionally on a process pool.
-
-    Results come back ordered by task index whatever the schedule.
-    """
+    """Apply fn to each argument tuple, on a pool of at most one worker per
+    task when threads > 1; results keep task order whatever the schedule."""
     if threads <= 1 or len(args_list) <= 1:
         return [fn(*a) for a in args_list]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(threads, len(args_list))) as pool:
         futures = [pool.submit(fn, *a) for a in args_list]
         return [f.result() for f in futures]
+
+
+class _Streams:
+    """One run's per-task generators.  ``streams(label, task, key)`` opens
+    the stream seeded by derive_seed(master, label, task) and, when a key is
+    given, lists that seed under the key in the manifest's derived seeds."""
+
+    def __init__(self, master_seed: int):
+        self.master_seed, self.seeds = master_seed, {}
+
+    def __call__(self, label: str, task: int,
+                 key: str | None = None) -> np.random.Generator:
+        seed = derive_seed(self.master_seed, label, task)
+        if key is not None:
+            self.seeds[key] = seed
+        return np.random.default_rng(seed)
 
 
 def _experiment(name: str, params: tuple[Param, ...]):
     """Register an experiment's table and wrap its body as the entry point
     ``(config, out_dir, master_seed, threads=1) -> RunManifest``.
 
-    The body takes the resolved config, the master seed and the worker count
-    and returns the CSV header, rows, derived seeds and manifest outputs (the
-    CSV file name under "csv").  The config is resolved before any work or
+    The body takes the resolved config, the run's ``_Streams`` and the worker
+    count, and returns the CSV header, rows and manifest outputs (the CSV
+    file name under "csv").  The config is resolved before any work or
     output; the body's run is timed and its CSV and manifest written.
     """
     PARAMS[name] = params
@@ -286,11 +300,12 @@ def _experiment(name: str, params: tuple[Param, ...]):
             cfg = resolve_config(name, config)
             t0 = time.time()
             out_dir.mkdir(parents=True, exist_ok=True)
-            header, rows, seeds, outputs = body(cfg, master_seed, threads)
+            streams = _Streams(master_seed)
+            header, rows, outputs = body(cfg, streams, threads)
             write_csv(out_dir / outputs["csv"], header, rows)
             manifest = RunManifest(
                 experiment=name, master_seed=master_seed, config=cfg,
-                derived_seeds=seeds, outputs=outputs,
+                derived_seeds=streams.seeds, outputs=outputs,
                 duration_seconds=time.time() - t0)
             manifest.write(out_dir)
             return manifest
@@ -320,6 +335,11 @@ def _tfim_reference(cfg: dict, prefix: str = ""):
     return model, h, e0, v0, lambda x: abs(x - e0) / abs(e0)
 
 
+def _optimizer(cfg: dict) -> dict:
+    """The optimizer.* keys as optimize_noiseless's keyword arguments."""
+    return {p.key.split(".")[1]: cfg[p.key] for p in _OPTIMIZER}
+
+
 def optimize_depth_sweep(model: TFIMModel, depths: Sequence[int],
                          master_seed: int, method: str = "quasi-newton",
                          restarts: int = 4, max_iter: int = 40
@@ -330,18 +350,12 @@ def optimize_depth_sweep(model: TFIMModel, depths: Sequence[int],
     exactly, so the best energy can only move down along the sweep.
     """
     out: list[HVAnsatz] = []
-    prev: HVAnsatz | None = None
     for i, d in enumerate(sorted(depths)):
-        if prev is None:
-            start = HVAnsatz.zeros(model, d)
-        else:
-            pad = np.concatenate([np.asarray(prev.params),
-                                  np.zeros(2 * d - len(prev.params))])
-            start = HVAnsatz(model, d, tuple(pad))
-        rng = task_rng(master_seed, "depth-sweep", i)
+        prev = out[-1].params if out else ()
+        start = HVAnsatz(model, d, prev + (0.0,) * (2 * d - len(prev)))
         res = optimize_noiseless(start, method=method, restarts=restarts,
-                                 rng=rng, max_iter=max_iter)
-        prev = res.ansatz
+                                 rng=task_rng(master_seed, "depth-sweep", i),
+                                 max_iter=max_iter)
         out.append(res.ansatz)
     return out
 
@@ -350,32 +364,27 @@ def optimize_depth_sweep(model: TFIMModel, depths: Sequence[int],
 # fig2: estimator standard deviation vs ansatz quality
 # ---------------------------------------------------------------------------
 
-def _pauli_cell(a: HVAnsatz, m: int, reps: int, seed: int) -> float:
-    """Std of repeated grouped-measurement estimates for one state."""
-    h = a.model.as_pauli_sum()
-    groups = group_qubitwise(h)
-    s = prepare(a)
-    plan = ShotPlan.uniform(groups.n_groups, m)
-    rng = np.random.default_rng(seed)
-    ests = estimate_energy_pauli_batch(s, h, groups, plan, [rng] * reps)
-    means = np.array([e.mean for e in ests])
-    return float(means.std(ddof=1))
-
-
-def _vmc_cell(a: JastrowAnsatz, model: TFIMModel, m: int, reps: int,
-              seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    ests = estimate_energy_vmc_batch(a, model, m, reps, rng)
-    means = np.array([e.mean for e in ests])
-    return float(means.std(ddof=1))
+def _spread_cell(a, model: TFIMModel, m: int, reps: int,
+                 rng: np.random.Generator) -> float:
+    """Std of reps energy estimates of one state: grouped measurement with m
+    shots per group for a circuit, m VMC samples for a Jastrow ansatz."""
+    if isinstance(a, HVAnsatz):
+        h = model.as_pauli_sum()
+        groups = group_qubitwise(h)
+        plan = ShotPlan.uniform(groups.n_groups, m)
+        ests = estimate_energy_pauli_batch(prepare(a), h, groups, plan,
+                                           [rng] * reps)
+    else:
+        ests = estimate_energy_vmc_batch(a, model, m, reps, rng)
+    return float(np.std([e.mean for e in ests], ddof=1))
 
 
 @_experiment("fig2", _TFIM + _OPTIMIZER + _JASTROW + (
-    Param("depths", int, (12, 16, 20, 24), many=True),
+    Param("depths", int, (12, 16, 20, 24), many=True, low=1),
     Param("shots", int, (100, 1000, 100000), many=True, low=1),
     # each cell's spread is a ddof=1 std over the repetitions
     Param("repetitions", int, 100, low=2)))
-def fig2_experiment(cfg: dict, master_seed: int, threads: int):
+def fig2_experiment(cfg: dict, streams: _Streams, threads: int):
     """Standard deviation of both estimators against exact ansatz quality.
 
     Pauli branch: circuit depths with noiseless warm-started optimization,
@@ -385,47 +394,36 @@ def fig2_experiment(cfg: dict, master_seed: int, threads: int):
     """
     L, shots, reps = cfg["L"], cfg["shots"], cfg["repetitions"]
     model, h, e0, v0, rel = _tfim_reference(cfg)
-    ansatze = optimize_depth_sweep(model, cfg["depths"], master_seed,
-                                   cfg["optimizer.method"],
-                                   cfg["optimizer.restarts"],
-                                   cfg["optimizer.max_iter"])
+    ansatze = optimize_depth_sweep(model, cfg["depths"], streams.master_seed,
+                                   **_optimizer(cfg))
     depth_rel = {f"d{a.depth}": rel(exact_energy(a, h)) for a in ansatze}
-
-    # Each cell is a CSV row without its last column, the sampled std.
-    seeds: dict = {}
-    cells = []
-    pauli_args = []
-    for a in ansatze:
-        for m in shots:
-            seed = derive_seed(master_seed, "fig2-pauli", len(pauli_args))
-            seeds[f"pauli/d{a.depth}/M{m}"] = seed
-            cells.append(("pauli", f"hv_d{a.depth}", m,
-                          depth_rel[f"d{a.depth}"]))
-            pauli_args.append((a, m, reps, seed))
-    vmc_args = []
+    # (estimator, CSV ansatz name, seed key, ansatz, relative error)
+    states = [("pauli", f"hv_d{a.depth}", f"d{a.depth}", a,
+               depth_rel[f"d{a.depth}"]) for a in ansatze]
     for lam1 in cfg["lam1_grid"]:
         a = JastrowAnsatz(L, (lam1,) + tuple(cfg["jastrow_tail"]))
-        e_var = rayleigh_quotient(a, model)
+        states.append(("vmc", f"jastrow_lam1={format_cell(lam1)}",
+                       f"lam1={lam1}", a, rel(rayleigh_quotient(a, model))))
+
+    # Each cell is a CSV row without its last column, the sampled std; each
+    # estimator numbers its cells' streams from 0.
+    cells, args = [], []
+    for est, name, key, a, err in states:
         for m in shots:
-            seed = derive_seed(master_seed, "fig2-vmc", len(vmc_args))
-            seeds[f"vmc/lam1={lam1}/M{m}"] = seed
-            cells.append(("vmc", f"jastrow_lam1={format_cell(lam1)}", m,
-                          rel(e_var)))
-            vmc_args.append((a, model, m, reps, seed))
-    spreads = (_run_tasks(_pauli_cell, pauli_args, threads)
-               + _run_tasks(_vmc_cell, vmc_args, threads))
-    rows = [cell + (std,) for cell, std in zip(cells, spreads)]
+            task = sum(cell[0] == est for cell in cells)
+            args.append((a, model, m, reps, streams(f"fig2-{est}", task,
+                                                    f"{est}/{key}/M{m}")))
+            cells.append((est, name, m, err))
+    rows = [cell + (std,) for cell, std
+            in zip(cells, _run_tasks(_spread_cell, args, threads))]
 
     # zero-variance diagnostic: the exact eigenvector as a table ansatz
     exact_a = AmplitudeTableAnsatz(L, v0.amplitudes.real)
     for m in shots:
-        seed = derive_seed(master_seed, "fig2-exact", m)
-        seeds[f"vmc/exact/M{m}"] = seed
         est = estimate_energy_vmc(exact_a, model, min(m, 10_000),
-                                  np.random.default_rng(seed))
-        rows.append(("vmc", "exact_eigenvector", m, rel(est.mean),
-                     est.stderr))
-    return (("estimator", "ansatz", "M", "relative_error", "std"), rows, seeds,
+                                  streams("fig2-exact", m, f"vmc/exact/M{m}"))
+        rows.append(("vmc", "exact_eigenvector", m, rel(est.mean), est.stderr))
+    return (("estimator", "ansatz", "M", "relative_error", "std"), rows,
             {"csv": "fig2.csv", "E0": e0, "depth_relative_errors": depth_rel,
              "pauli_cost_note": "each Pauli estimate consumes "
                                 "n_groups * M shots",
@@ -436,34 +434,29 @@ def fig2_experiment(cfg: dict, master_seed: int, threads: int):
 # gap-sweep: exact spectral gaps and sampled autocorrelation
 # ---------------------------------------------------------------------------
 
-def _instance_for(kind: str, L: int, seed: int) -> ClassicalSpinModel:
-    if kind == "ferromagnet":
-        return ferromagnetic_chain(L)
-    return spin_glass_instance(L, np.random.default_rng(seed),
-                               topology=kind)
+def _instance_for(kind: str, L: int, rng) -> ClassicalSpinModel:
+    return (ferromagnetic_chain(L) if kind == "ferromagnet"
+            else spin_glass_instance(L, rng, topology=kind))
 
 
 @_experiment("gap-sweep", (
-    Param("L_list", int, (4, 6), many=True),
+    Param("L_list", int, (4, 6), many=True, low=1),
     Param("beta_list", float, (1.0, 2.0), many=True),
     _PROPOSALS,
     Param("instances", int, 5, low=1),
     Param("K", int, 32, low=1),
     Param("steps", int, 4000, low=1),
     Param("ensemble", str, "fully-connected", choices=_ENSEMBLES)))
-def gap_sweep(cfg: dict, master_seed: int, threads: int):
+def gap_sweep(cfg: dict, streams: _Streams, threads: int):
     """Exact kernel gaps plus sampled chain diagnostics over a grid."""
     kind, proposals = cfg["ensemble"], cfg["proposals"]
     rows = []
-    seeds: dict = {}
     for L in cfg["L_list"]:
         for inst in range(cfg["instances"]):
             task = L * 1000 + inst
-            model = _instance_for(kind, L, derive_seed(
-                master_seed, "gap-instance", task))
+            model = _instance_for(kind, L, streams("gap-instance", task))
             qcfg = QuantumProposalConfig.for_model(model)
-            quad_rng = np.random.default_rng(
-                derive_seed(master_seed, "gap-quad", task))
+            quad_rng = streams("gap-quad", task)
             matrices = {}  # drop the last instance's matrices first
             for name in proposals:
                 matrices[name] = (
@@ -473,16 +466,16 @@ def gap_sweep(cfg: dict, master_seed: int, threads: int):
                 for name in proposals:
                     gap = spectral_gap(assemble_kernel(matrices[name], model,
                                                        beta))
-                    seed = derive_seed(master_seed, "gap-chain", len(rows))
-                    seeds[f"L{L}/i{inst}/b{beta}/{name}"] = seed
                     proposal = qcfg if name == "quantum" else name
+                    rng = streams("gap-chain", len(rows),
+                                  f"L{L}/i{inst}/b{beta}/{name}")
                     _, diag = run_chain(model, proposal, beta, cfg["steps"],
-                                        np.random.default_rng(seed))
+                                        rng)
                     rows.append((f"{kind}-{L}-{inst}", L, beta, name,
                                  gap.delta, diag.tau_energy,
                                  diag.acceptance_rate))
     return (("instance_id", "L", "beta", "proposal", "delta", "tau",
-             "acceptance_rate"), rows, seeds,
+             "acceptance_rate"), rows,
             {"csv": "gap_sweep.csv", "rows": len(rows)})
 
 
@@ -491,29 +484,24 @@ def gap_sweep(cfg: dict, master_seed: int, threads: int):
 # ---------------------------------------------------------------------------
 
 @_experiment("vqe-run", _VQE_MODEL + (
-    Param("depth", int, 12),
+    Param("depth", int, 12, low=1),
     Param("shots_per_group", int, 1000, low=1),
     Param("repetitions", int, 100, low=1)) + _OPTIMIZER)
-def vqe_run(cfg: dict, master_seed: int, threads: int):
+def vqe_run(cfg: dict, streams: _Streams, threads: int):
     """Optimize one circuit depth, then repeat its shot-noise estimate."""
     model, h, e0, _, rel = _tfim_reference(cfg, "model.")
     res = optimize_noiseless(HVAnsatz.zeros(model, cfg["depth"]),
-                             method=cfg["optimizer.method"],
-                             restarts=cfg["optimizer.restarts"],
-                             rng=task_rng(master_seed, "vqe-opt", 0),
-                             max_iter=cfg["optimizer.max_iter"])
+                             rng=streams("vqe-opt", 0), **_optimizer(cfg))
     s = prepare(res.ansatz)
     groups = group_qubitwise(h)
     plan = ShotPlan.uniform(groups.n_groups, cfg["shots_per_group"])
-    seeds = {f"rep{rep}": derive_seed(master_seed, "vqe-est", rep)
-             for rep in range(cfg["repetitions"])}
-    ests = estimate_energy_pauli_batch(
-        s, h, groups, plan, [np.random.default_rng(v) for v in seeds.values()])
+    ests = estimate_energy_pauli_batch(s, h, groups, plan, [
+        streams("vqe-est", rep, f"rep{rep}")
+        for rep in range(cfg["repetitions"])])
     rows = [(rep, e.mean, e.stderr) for rep, e in enumerate(ests)]
-    return (("repetition", "mean", "stderr"), rows, seeds,
+    return (("repetition", "mean", "stderr"), rows,
             {"csv": "vqe_run.csv", "E0": e0, "E_var": res.energy,
-             "relative_error": rel(res.energy),
-             "converged": res.converged,
+             "relative_error": rel(res.energy), "converged": res.converged,
              "predicted_error": predicted_error(s, h, plan, groups),
              "n_groups": groups.n_groups})
 
@@ -528,35 +516,29 @@ def vqe_run(cfg: dict, master_seed: int, threads: int):
     Param("sr_steps", int, 200, low=1),
     Param("samples_per_step", int, 4096, low=1),
     Param("delta", float, 0.05)))
-def vmc_run(cfg: dict, master_seed: int, threads: int):
+def vmc_run(cfg: dict, streams: _Streams, threads: int):
     """SR from lam = 0 (``mode = sr``) or the ansatz-quality sweep."""
-    L = cfg["L"]
     model, _, e0, _, rel = _tfim_reference(cfg)
-    seeds: dict = {}
     if cfg["mode"] == "sr":
-        seed = derive_seed(master_seed, "vmc-sr", 0)
-        seeds["sr"] = seed
         run = run_sr_optimization(model, n_steps=cfg["sr_steps"],
                                   samples_per_step=cfg["samples_per_step"],
                                   delta=cfg["delta"],
-                                  rng=np.random.default_rng(seed))
+                                  rng=streams("vmc-sr", 0, "sr"))
         rows = [(i, e, rel(e)) for i, e in enumerate(run.energies)]
         e_fin = rayleigh_quotient(run.ansatz, model)
-        return (("step", "energy", "relative_error"), rows, seeds,
+        return (("step", "energy", "relative_error"), rows,
                 {"csv": "vmc_sr.csv", "E0": e0,
                  "final_lam": list(run.ansatz.lam), "final_energy": e_fin,
                  "final_relative_error": rel(e_fin)})
     rows = []
     for lam1 in cfg["lam1_grid"]:
-        a = JastrowAnsatz(L, (lam1,) + tuple(cfg["jastrow_tail"]))
+        a = JastrowAnsatz(cfg["L"], (lam1,) + tuple(cfg["jastrow_tail"]))
         err = rel(rayleigh_quotient(a, model))
         for m in cfg["samples"]:
-            seed = derive_seed(master_seed, "vmc-sweep", len(rows))
-            seeds[f"lam1={lam1}/M{m}"] = seed
-            est = estimate_energy_vmc(a, model, m,
-                                      np.random.default_rng(seed))
+            est = estimate_energy_vmc(a, model, m, streams(
+                "vmc-sweep", len(rows), f"lam1={lam1}/M{m}"))
             rows.append((lam1, err, est.stderr, m))
-    return (("lam1", "relative_error", "stderr", "M_vmc"), rows, seeds,
+    return (("lam1", "relative_error", "stderr", "M_vmc"), rows,
             {"csv": "vmc_sweep.csv", "E0": e0})
 
 
@@ -565,35 +547,32 @@ def vmc_run(cfg: dict, master_seed: int, threads: int):
 # ---------------------------------------------------------------------------
 
 @_experiment("qemcmc-run", (
-    Param("L", int, 6),
+    Param("L", int, 6, low=1),
     Param("ensemble", str, "ferromagnet", choices=_ENSEMBLES),
     Param("instance", str, None),
     Param("beta", float, 2.0),
     Param("steps", int, 20000, low=1),
     Param("chains", int, 4, low=1),
     _PROPOSALS))
-def qemcmc_run(cfg: dict, master_seed: int, threads: int):
+def qemcmc_run(cfg: dict, streams: _Streams, threads: int):
     """Sampled chains of each proposal on one generated or loaded model."""
     if cfg["instance"] is None:
         model = _instance_for(cfg["ensemble"], cfg["L"],
-                              derive_seed(master_seed, "qemcmc-inst", 0))
+                              streams("qemcmc-inst", 0))
     else:
         model = load_instance(cfg["instance"])
     qcfg = QuantumProposalConfig.for_model(model)
     v = energy_table(model)
     rows = []
-    seeds = {}
     for i, name in enumerate(cfg["proposals"]):
-        seed = derive_seed(master_seed, "qemcmc-chain", i)
-        seeds[name] = seed
         proposal = qcfg if name == "quantum" else name
         rec, diag = run_chain(model, proposal, cfg["beta"], cfg["steps"],
-                              np.random.default_rng(seed),
+                              streams("qemcmc-chain", i, name),
                               n_chains=cfg["chains"])
         mean_e = float(v[rec].mean())
         rows.append((name, diag.acceptance_rate, diag.tau_energy, mean_e))
     return (("proposal", "acceptance_rate", "tau_energy", "mean_energy"),
-            rows, seeds, {"csv": "qemcmc_run.csv", "beta": cfg["beta"]})
+            rows, {"csv": "qemcmc_run.csv", "beta": cfg["beta"]})
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,9 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
                         rng: np.random.Generator | None = None) -> SRRun:
     """SR descent from lam = 0 with persistent parallel sampling chains.
 
-    Each step draws samples_per_step records spread over 64 warm chains,
-    applies one sr_step, and logs the exact variational energy.  The
+    Each step draws 64 * max(1, samples_per_step // 64) records, spread
+    over 64 warm chains, applies one sr_step, and logs the exact variational
+    energy; n_steps and samples_per_step below 1 raise a ValueError.  The
     amplitude, log-weight and local-energy tables are built once per lambda:
     those of step k's update serve its exact energy and step k + 1's
     sampling.  The features O_r of the drawn records are read from the
@@ -338,6 +339,7 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
     built once per L.  The returned parameters average the final quarter of
     the history to shave off the stochastic dither around the optimum.
     """
+    _check_counts(1, n_steps=n_steps, samples_per_step=samples_per_step)
     if rng is None:
         rng = np.random.default_rng(0)
     a = JastrowAnsatz(model.L, (0.0,) * (model.L // 2))

@@ -13,6 +13,7 @@ state by about 1.3x, outside the 25% band.
 """
 
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -367,3 +368,31 @@ def test_rerun_csv_matches_golden_hash(name, fn, cfg, tmp_path):
     digest = hashlib.sha256(
         (tmp_path / man.outputs["csv"]).read_bytes()).hexdigest()
     assert digest == RERUN_CSV_SHA256[name]
+
+
+# sha256 of each RERUN_EXPERIMENTS manifest at master seed 11, as
+# json.dumps(sort_keys=True) of the written document without its
+# duration_seconds.  It pins the derived seeds, the outputs and the resolved
+# config, which the CSV hashes do not see.
+RERUN_MANIFEST_SHA256 = {
+    "fig2": "a6b533651ffb289144cb40dd02f73617f4139da67319937e981097fa159d9091",
+    "gap-sweep":
+        "a9bfb7e447f1bed0d2c272f1a2272087e2b3a2b562809b983f6ddabad81faee2",
+    "vqe-run":
+        "0d3c1b90441984e2f3cdfcc06f033675b8378a558a52ea6c24b77b2863db54b4",
+    "vmc-run":
+        "499e4b67b0809b99c076369f7685075b82674028d932737525914dd912637c87",
+    "qemcmc-run":
+        "bd425fc68dbb111ee1e5d0e40d0bd6c3743060f959096e1047802a8cce2520be",
+}
+
+
+@pytest.mark.parametrize("name,fn,cfg", RERUN_EXPERIMENTS,
+                         ids=[r[0] for r in RERUN_EXPERIMENTS])
+def test_rerun_manifest_matches_golden_hash(name, fn, cfg, tmp_path):
+    fn(dict(cfg), tmp_path, master_seed=11)
+    doc = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    del doc["duration_seconds"]
+    digest = hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == RERUN_MANIFEST_SHA256[name]

@@ -5,6 +5,8 @@ Experiment runs here use deliberately tiny grids; the full-size claims live
 in the acceptance suite.  Determinism checks compare raw CSV bytes.
 """
 
+import ast
+import concurrent.futures
 import hashlib
 import json
 import re
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from spinlab import cli, harness
 from spinlab.harness import (
+    EXPERIMENTS,
     PARAMS,
     RunManifest,
     derive_seed,
@@ -193,10 +196,23 @@ class TestResolveConfig:
         ("vmc-run", {"L": 5, "mode": "sr"}, "L"),
         ("fig2", {"repetitions": 1}, "repetitions"),
         ("vmc-run", {"mode": "sweep", "samples": [100, 0]}, "samples"),
+        ("qemcmc-run", {"L": 0}, "L"),
+        ("qemcmc-run", {"L": -1}, "L"),
+        ("gap-sweep", {"L_list": 0}, "L_list"),
+        ("gap-sweep", {"L_list": [4, -1]}, "L_list"),
+        ("vqe-run", {"model.L": 0}, "model.L"),
+        ("vqe-run", {"model.L": 4, "depth": 0}, "depth"),
+        ("fig2", {"depths": [0, 12]}, "depths"),
+        ("vqe-run", {"model.L": 4, "optimizer.restarts": -1},
+         "optimizer.restarts"),
+        ("fig2", {"optimizer.restarts": -1}, "optimizer.restarts"),
     ], ids=["mode", "proposal-name", "proposal-repeated", "gap-ensemble",
             "qemcmc-ensemble", "vqe-method", "fig2-method",
             "vmc-tail-length", "fig2-tail-length", "vmc-odd-L",
-            "fig2-one-repetition", "vmc-zero-samples"])
+            "fig2-one-repetition", "vmc-zero-samples", "qemcmc-zero-L",
+            "qemcmc-negative-L", "gap-zero-L", "gap-negative-L",
+            "vqe-zero-L", "vqe-zero-depth", "fig2-zero-depth",
+            "vqe-negative-restarts", "fig2-negative-restarts"])
     def test_choice_checked_before_any_work(self, experiment, config, key,
                                             tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
@@ -286,6 +302,22 @@ def _readme_ini_blocks():
     return re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
 
 
+def test_bodies_take_every_stream_from_the_runner():
+    """No experiment body seeds or opens a generator itself, so the seed
+    policy and the manifest's derived seeds live in one place."""
+    tree = ast.parse(Path(harness.__file__).read_text())
+    bodies = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+              and any(isinstance(d, ast.Call) and d.func.id == "_experiment"
+                      for d in f.decorator_list)]
+    assert len(bodies) == len(EXPERIMENTS)
+    for body in bodies:
+        names = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(body)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        assert not names & {"derive_seed", "task_rng", "default_rng"}, \
+            body.name
+
+
 def test_readme_blocks_document_every_key_with_its_default():
     blocks = {re.match(r"# ([\w-]+) ", b).group(1): b
               for b in _readme_ini_blocks()}
@@ -296,6 +328,12 @@ def test_readme_blocks_document_every_key_with_its_default():
         for p in PARAMS[name]:
             assert re.search(rf"^#? *{re.escape(p.key)} =", block, re.M), \
                 (name, p.key)
+    # the list of errors names every key with a least value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = re.search(r"^- a count below .*?(?=^- )", readme, re.M | re.S)
+    for key in sorted({p.key for params in PARAMS.values() for p in params
+                       if p.low is not None}):
+        assert f"`{key}`" in bullet.group(0), key
 
 
 class TestFig2Experiment:
@@ -322,6 +360,34 @@ class TestFig2Experiment:
         out_c = tmp_path / "c"
         fig2_experiment(dict(TINY_FIG2), out_c, master_seed=6)
         assert csv_a.read_bytes() != (out_c / "fig2.csv").read_bytes()
+
+    def test_pool_never_outnumbers_cells(self, tmp_path, monkeypatch):
+        """--threads 64 asks for one worker per cell, in one pool."""
+        asked = []
+
+        class InlinePool:  # records max_workers and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        assert harness._run_tasks(pow, [(2, 3), (3, 2)], 64) == [8, 9]
+        assert harness._run_tasks(pow, [(2, 3), (3, 2)], 1) == [8, 9]
+        assert asked == [2]
+        fig2_experiment(dict(TINY_FIG2), tmp_path, master_seed=5, threads=64)
+        # 2 depths and 2 lam1 values at 2 shot counts
+        assert asked == [2, 8]
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         out_a = tmp_path / "serial"

@@ -371,6 +371,27 @@ class TestFeatureTable:
 
 
 class TestSRStep:
+    @pytest.mark.parametrize("counts,name", [
+        ({"n_steps": 0}, "n_steps"),
+        ({"n_steps": -2}, "n_steps"),
+        ({"samples_per_step": 0}, "samples_per_step"),
+    ])
+    def test_counts_below_one_refused_by_name(self, counts, name):
+        # n_steps = 0 used to return lam = (nan, nan) after "Mean of empty
+        # slice" warnings; samples_per_step = 0 silently drew 64 records
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            run_sr_optimization(TFIMModel(L=4), **counts,
+                                rng=np.random.default_rng(0))
+
+    def test_records_per_step_round_down_to_the_chain_count(self):
+        """1 to 127 samples per step all draw 64 records, one per chain."""
+        runs = [run_sr_optimization(TFIMModel(L=4), n_steps=3,
+                                    samples_per_step=m,
+                                    rng=np.random.default_rng(2))
+                for m in (1, 64, 127)]
+        for run in runs[1:]:
+            assert np.array_equal(run.energies, runs[0].energies)
+
     def test_near_stationary_at_the_optimum(self):
         model = TFIMModel(L=10)
         a = JastrowAnsatz(10, OPTIMAL_LAM)
