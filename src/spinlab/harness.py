@@ -192,19 +192,23 @@ _VQE_MODEL = tuple(p._replace(key="model." + p.key) for p in _TFIM)
 _OPTIMIZER = (Param("optimizer.method", str, "quasi-newton",
                     choices=tuple(METHOD_ALIASES), anycase=True),
               Param("optimizer.restarts", int, 4, low=0),
-              Param("optimizer.max_iter", int, 40))
+              Param("optimizer.max_iter", int, 40, low=1))
 _JASTROW = (Param("lam1_grid", float, LAM1_GRID, many=True),
             Param("jastrow_tail", float, L10_JASTROW_OPTIMUM[1:], many=True,
                   distinct=False))
 
 
 def _check_jastrow(cfg: dict) -> None:
-    """The pair ansatz needs an even L, and the ansatz-quality sweep needs
-    L/2 - 1 tail couplings after the swept first one (SR mode uses none)."""
+    """The pair ansatz needs an even L, SR a positive step ``delta``, and the
+    ansatz-quality sweep L/2 - 1 tail couplings after the swept first one
+    (SR mode uses none)."""
     L, tail = cfg["L"], cfg["jastrow_tail"]
     if L < 2 or L % 2:
         raise ValueError(f"config key 'L': the Jastrow ansatz needs an even "
                          f"L >= 2, got {L}")
+    if cfg.get("delta", 1.0) <= 0:
+        raise ValueError(f"config key 'delta': the SR step must be positive, "
+                         f"got {cfg['delta']!r}")
     if cfg.get("mode", "sweep") == "sweep" and len(tail) != L // 2 - 1:
         raise ValueError(f"config key 'jastrow_tail' needs L/2 - 1 = "
                          f"{L // 2 - 1} values for 'L' = {L}, got {len(tail)}")

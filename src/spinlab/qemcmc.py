@@ -231,6 +231,7 @@ class QuantumProposalConfig:
             raise ValueError(f"unknown evolution {self.evolution!r}")
         if not 0.0 <= self.mix_single_flip < 1.0:
             raise ValueError("mix_single_flip must lie in [0, 1)")
+        _check_counts(1, trotter_steps=self.trotter_steps)
 
     @classmethod
     def for_model(cls, model: ClassicalSpinModel) -> "QuantumProposalConfig":

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qemcmc import _check_counts, _metropolis
-from .statevector import SpinConfiguration, TFIMModel, _x_sum, _zz_levels
+from .statevector import (CapacityError, SpinConfiguration, TFIMModel,
+                          _x_sum, _zz_levels)
 from .vqe import EnergyEstimate, _ridge_solve
 
 TABLE_CAP = 20  # build full 2^L lookup tables up to this many sites
@@ -65,7 +66,7 @@ class JastrowAnsatz:
     def amplitude_table(self) -> np.ndarray:
         """psi over all 2^L basis indices (positive reals)."""
         if self.L > TABLE_CAP:
-            raise ValueError("table too large")
+            raise CapacityError(f"amplitude table capped at {TABLE_CAP} sites")
         return np.exp(self._log_psi(_feature_table(self.L)))
 
 
@@ -98,13 +99,6 @@ class AmplitudeTableAnsatz:
         return self.table
 
 
-def _log_weights(amp: np.ndarray) -> np.ndarray:
-    """log of the unnormalized sampling weight |psi|^2 per basis index."""
-    amp = np.abs(np.asarray(amp, dtype=complex))
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.log(amp)
-
-
 # ---------------------------------------------------------------------------
 # Local energy
 # ---------------------------------------------------------------------------
@@ -115,12 +109,7 @@ def local_energy_table(a, model: TFIMModel) -> np.ndarray:
     E_L(x) = -J sum_k s_k s_{k+1} - Gamma sum_k psi(x^(k))/psi(x) with x^(k)
     the single-flip neighbor.  Entries where psi(x) = 0 come out nan.
     """
-    return _local_energies(a.amplitude_table(), model)
-
-
-def _local_energies(amp: np.ndarray, model: TFIMModel) -> np.ndarray:
-    """local_energy_table from the amplitude table."""
-    amp = np.asarray(amp)
+    amp = np.asarray(a.amplitude_table())
     levels, inv = _zz_levels(model.L, model.periodic)
     ratio_sum = _x_sum(amp, model.L)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -170,8 +159,7 @@ def local_energy_records(a, configs: Sequence[SpinConfiguration],
 
 def rayleigh_quotient(a, model: TFIMModel) -> float:
     """<psi|H|psi>/<psi|psi> by full enumeration (the exact variational energy)."""
-    amp = a.amplitude_table()
-    return _rayleigh(amp, _local_energies(amp, model))
+    return _rayleigh(a.amplitude_table(), local_energy_table(a, model))
 
 
 def _rayleigh(amp: np.ndarray, e: np.ndarray) -> float:
@@ -197,18 +185,13 @@ def run_metropolis_chains(a, n_chains: int, n_records: int, burn_in: int,
     """
     _check_counts(0, n_records=n_records, burn_in=burn_in)
     _check_counts(1, n_chains=n_chains, thinning=thinning)
-    return _single_flip_chains(_log_weights(a.amplitude_table()), a.L,
-                               n_chains, n_records, burn_in, thinning, rng,
-                               initial)
+    # log of the unnormalized sampling weight |psi|^2 per basis index
+    with np.errstate(divide="ignore"):
+        lw = 2.0 * np.log(np.abs(np.asarray(a.amplitude_table(),
+                                            dtype=complex)))
 
-
-def _single_flip_chains(lw: np.ndarray, L: int, n_chains: int,
-                        n_records: int, burn_in: int, thinning: int,
-                        rng: np.random.Generator,
-                        initial: np.ndarray | None) -> np.ndarray:
-    """run_metropolis_chains on the log-weight table lw."""
     def draw(n, idx):
-        return 1 << rng.integers(0, L, size=(n, n_chains))
+        return 1 << rng.integers(0, a.L, size=(n, n_chains))
 
     return _metropolis(lw, 1.0, initial, n_chains,
                        burn_in + n_records * thinning, burn_in, thinning, rng,
@@ -331,15 +314,18 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
 
     Each step draws 64 * max(1, samples_per_step // 64) records, spread
     over 64 warm chains, applies one sr_step, and logs the exact variational
-    energy; n_steps and samples_per_step below 1 raise a ValueError.  The
-    amplitude, log-weight and local-energy tables are built once per lambda:
-    those of step k's update serve its exact energy and step k + 1's
+    energy; n_steps and samples_per_step below 1, and a delta that is not
+    positive and finite, raise a ValueError.  Each lambda's amplitude table
+    is built once and held in an AmplitudeTableAnsatz, which with its
+    local-energy table serves step k's exact energy and step k + 1's
     sampling.  The features O_r of the drawn records are read from the
     lambda-independent per-index table that amplitude_table also reads,
     built once per L.  The returned parameters average the final quarter of
     the history to shave off the stochastic dither around the optimum.
     """
     _check_counts(1, n_steps=n_steps, samples_per_step=samples_per_step)
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     a = JastrowAnsatz(model.L, (0.0,) * (model.L // 2))
@@ -348,13 +334,12 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
     energies = np.empty(n_steps)
     lam_hist = np.empty((n_steps, model.L // 2))
     burn = default_burn_in(model.L)
-    amp = a.amplitude_table()
-    e_table = _local_energies(amp, model)
+    t = AmplitudeTableAnsatz(model.L, a.amplitude_table())
+    e_table = local_energy_table(t, model)
     for step in range(n_steps):
-        idx = _single_flip_chains(
-            _log_weights(amp), model.L, 64, per_chain,
-            burn if step == 0 else 2 * model.L * model.L, model.L, rng,
-            state)
+        idx = run_metropolis_chains(t, 64, per_chain, burn, model.L, rng,
+                                    state)
+        burn = 2 * model.L * model.L
         state = idx[:, -1].copy()
         flat = idx.reshape(-1)
         e_loc = e_table[flat]
@@ -362,9 +347,9 @@ def run_sr_optimization(model: TFIMModel, n_steps: int = 200,
         new_lam = _sr_update(np.asarray(a.lam), o, e_loc, delta, None)
         a = a.with_lam(new_lam)
         lam_hist[step] = new_lam
-        amp = a.amplitude_table()
-        e_table = _local_energies(amp, model)
-        energies[step] = _rayleigh(amp, e_table)
+        t = AmplitudeTableAnsatz(model.L, a.amplitude_table())
+        e_table = local_energy_table(t, model)
+        energies[step] = _rayleigh(t.table, e_table)
     tail = max(1, n_steps // 4)
     a_final = a.with_lam(lam_hist[-tail:].mean(axis=0))
     return SRRun(ansatz=a_final, energies=energies, lam_history=lam_hist)

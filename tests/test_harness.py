@@ -206,13 +206,20 @@ class TestResolveConfig:
         ("vqe-run", {"model.L": 4, "optimizer.restarts": -1},
          "optimizer.restarts"),
         ("fig2", {"optimizer.restarts": -1}, "optimizer.restarts"),
+        ("vqe-run", {"model.L": 4, "optimizer.max_iter": -1},
+         "optimizer.max_iter"),
+        ("fig2", {"optimizer.max_iter": 0}, "optimizer.max_iter"),
+        ("vmc-run", {"L": 4, "mode": "sr", "delta": -0.05}, "delta"),
+        ("vmc-run", {"L": 4, "mode": "sr", "delta": 0}, "delta"),
     ], ids=["mode", "proposal-name", "proposal-repeated", "gap-ensemble",
             "qemcmc-ensemble", "vqe-method", "fig2-method",
             "vmc-tail-length", "fig2-tail-length", "vmc-odd-L",
             "fig2-one-repetition", "vmc-zero-samples", "qemcmc-zero-L",
             "qemcmc-negative-L", "gap-zero-L", "gap-negative-L",
             "vqe-zero-L", "vqe-zero-depth", "fig2-zero-depth",
-            "vqe-negative-restarts", "fig2-negative-restarts"])
+            "vqe-negative-restarts", "fig2-negative-restarts",
+            "vqe-negative-max-iter", "fig2-zero-max-iter",
+            "vmc-negative-delta", "vmc-zero-delta"])
     def test_choice_checked_before_any_work(self, experiment, config, key,
                                             tmp_path, monkeypatch):
         def no_work(*args, **kwargs):

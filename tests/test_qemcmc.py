@@ -382,6 +382,12 @@ class TestProposeQuantum:
             QuantumProposalConfig(gamma_range=(0.1, 0.5), evolution="magic")
         with pytest.raises(ValueError):
             QuantumProposalConfig(gamma_range=(0.1, 0.5), mix_single_flip=1.0)
+        # 0 used to divide by zero mid-chain; -2 never moved, so every
+        # proposal was "accepted" and the acceptance read 1.0
+        for steps in (0, -2):
+            with pytest.raises(ValueError, match="trotter_steps must be at"):
+                QuantumProposalConfig(gamma_range=(0.1, 0.5),
+                                      evolution="trotter", trotter_steps=steps)
 
     def test_for_model_scales_with_couplings(self):
         m = ferromagnetic_chain(6, J=2.0)

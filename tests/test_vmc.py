@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from spinlab.statevector import (SpinConfiguration, TFIMModel,
+from spinlab import vmc
+from spinlab.statevector import (CapacityError, SpinConfiguration, TFIMModel,
                                  all_spin_values, ground_state)
-from spinlab.vmc import (AmplitudeTableAnsatz, GaussianToy, JastrowAnsatz,
+from spinlab.vmc import (TABLE_CAP, AmplitudeTableAnsatz, GaussianToy, JastrowAnsatz,
                          LocalEnergyRecord, _feature_table,
                          _log_derivative_matrix, estimate_energy_vmc,
                          estimate_energy_vmc_batch,
@@ -358,6 +359,11 @@ class TestFeatureTable:
         want = np.exp(a.log_psi_spins(all_spin_values(16)))
         assert a.amplitude_table().tobytes() == want.tobytes()
 
+    def test_amplitude_table_above_the_cap_names_it(self):
+        a = JastrowAnsatz(TABLE_CAP + 2, (0.0,) * (TABLE_CAP // 2 + 1))
+        with pytest.raises(CapacityError, match=f"capped at {TABLE_CAP}"):
+            a.amplitude_table()
+
     def test_sr_loop_reads_the_table(self, monkeypatch):
         """No feature is rebuilt from spin rows inside the step loop."""
         def no_roll(*args, **kwargs):
@@ -382,6 +388,34 @@ class TestSRStep:
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             run_sr_optimization(TFIMModel(L=4), **counts,
                                 rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("delta", [-0.05, 0.0, np.nan, np.inf])
+    def test_step_size_must_be_positive_and_finite(self, delta):
+        # -0.05 used to climb away from the optimum, 0 to leave lam at 0,
+        # and nan to return lam = (nan, nan), all silently
+        with pytest.raises(ValueError, match="delta must be positive"):
+            run_sr_optimization(TFIMModel(L=4), n_steps=2, delta=delta,
+                                rng=np.random.default_rng(0))
+
+    def test_samples_and_scores_through_the_public_functions(self,
+                                                             monkeypatch):
+        """One run_metropolis_chains call per step, one local_energy_table
+        call per lambda (the start and each step's update)."""
+        calls = {"run_metropolis_chains": 0, "local_energy_table": 0}
+
+        def counting(name):
+            fn = getattr(vmc, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in list(calls):
+            monkeypatch.setattr(vmc, name, counting(name))
+        run_sr_optimization(TFIMModel(L=4), n_steps=3, samples_per_step=128,
+                            rng=np.random.default_rng(1))
+        assert calls == {"run_metropolis_chains": 3, "local_energy_table": 4}
 
     def test_records_per_step_round_down_to_the_chain_count(self):
         """1 to 127 samples per step all draw 64 records, one per chain."""
