@@ -161,10 +161,6 @@ class PauliSum:
         kept = sorted((s, c) for s, c in acc.items() if abs(c) >= COEFF_CUTOFF)
         return cls(n_qubits, tuple((c, PauliString(s)) for s, c in kept))
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     def identity_coefficient(self) -> complex:
         for coeff, string in self.terms:
             if string.is_identity:

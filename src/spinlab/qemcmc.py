@@ -31,7 +31,7 @@ cost of the series.  Milliseconds per step, dense / sector / series, 1 and
 4 chains, one BLAS thread on a 2-core x86-64 host: L = 7, 2.3 / 1.3 / 5.1;
 L = 8, 11-12 / 4.4-5.4 / 5.5-9.0; L = 9, 55-58 / 19-20 / 5.0-9.4.
 
-build_proposal_matrix takes the flip sectors whenever V(x) = V(~x) and is
+build_proposal_matrix shares _start_columns with the chain step and is
 symmetric to the last bit, so its kernel keeps the Boltzmann pi and
 spectral_gap takes eigvalsh of sqrt(pi) P / sqrt(pi) (eigvals without pi).
 """
@@ -196,6 +196,7 @@ def magnetization_table(L: int) -> np.ndarray:
 
 def boltzmann_distribution(model: ClassicalSpinModel,
                            beta: float) -> np.ndarray:
+    _check_finite(beta=beta)
     v = energy_table(model)
     w = np.exp(-beta * (v - v.min()))
     return w / w.sum()
@@ -223,6 +224,7 @@ class QuantumProposalConfig:
     def __post_init__(self):
         g0, g1 = self.gamma_range
         t0, t1 = self.time_range
+        _check_finite(gamma_range=self.gamma_range, time_range=self.time_range)
         if g0 <= 0 or t0 <= 0:
             raise ValueError("ranges must start above zero")
         if g1 < g0 or t1 < t0:
@@ -365,28 +367,30 @@ def _trotter_columns(v_table: np.ndarray, gamma: float, t: float,
     return amps
 
 
+def _start_columns(v_table: np.ndarray, cfg: QuantumProposalConfig,
+                   gamma: float, t: float, start: np.ndarray) -> np.ndarray:
+    """exp(-i H t)|x_c> for each start index by the config's Trotter steps,
+    else the flip sectors when V(x) = V(~x), else one dense eigh."""
+    if cfg.evolution == "trotter":
+        return _trotter_columns(v_table, gamma, t, start, cfg.trotter_steps)
+    # index dim-1-x is ~x: V is flip-symmetric (zero fields)
+    if np.array_equal(v_table, v_table[::-1]):
+        return _sector_columns(v_table, gamma, t, start)
+    return _evolved_columns(v_table, gamma, t, start)
+
+
 def _quantum_step(v_table: np.ndarray, cfg: QuantumProposalConfig,
                   idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Propose new indices for every chain with one shared (t, gamma) draw."""
     t, g = cfg.draw(rng)
     L = v_table.size.bit_length() - 1
-    if cfg.evolution == "exact":
-        if L > MAX_EXACT_QUBITS:
-            raise CapacityError(
-                f"exact proposal capped at {MAX_EXACT_QUBITS} sites")
-        if L >= CHEBYSHEV_MIN_QUBITS:
-            evolve = _chebyshev_columns
-        elif np.array_equal(v_table, v_table[::-1]):
-            # index dim-1-x is ~x: V is flip-symmetric (zero fields)
-            evolve = _sector_columns
-        else:
-            evolve = _evolved_columns
-        cols = evolve(v_table, g, t, idx)
+    cap = MAX_EXACT_QUBITS if cfg.evolution == "exact" else MAX_TROTTER_QUBITS
+    if L > cap:
+        raise CapacityError(f"{cfg.evolution} proposal capped at {cap} sites")
+    if cfg.evolution == "exact" and L >= CHEBYSHEV_MIN_QUBITS:
+        cols = _chebyshev_columns(v_table, g, t, idx)
     else:
-        if L > MAX_TROTTER_QUBITS:
-            raise CapacityError(
-                f"trotter proposal capped at {MAX_TROTTER_QUBITS} sites")
-        cols = _trotter_columns(v_table, g, t, idx, cfg.trotter_steps)
+        cols = _start_columns(v_table, cfg, g, t, idx)
     u = rng.random(idx.size)
     out = np.array([_inverse_cdf(_normalized_cdf(p), None, x)
                     for p, x in zip((np.abs(cols) ** 2).T, u)])
@@ -435,6 +439,13 @@ def _check_counts(minimum: int, **counts) -> None:
         if value < minimum:
             raise ValueError(f"{name} must be at least {minimum}, "
                              f"got {value!r}")
+
+
+def _check_finite(**values) -> None:
+    """Raise a ValueError naming the first value that is not all finite."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
@@ -512,6 +523,7 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
     if not quantum and proposal not in ("single-flip", "uniform"):
         raise ValueError(f"unknown proposal {proposal!r}")
     _check_counts(1, steps=steps, n_chains=n_chains, record_every=record_every)
+    _check_finite(beta=beta)
     if record_every > steps:
         raise ValueError(f"record_every must be at most steps = {steps}, "
                          f"got {record_every!r}")
@@ -571,8 +583,8 @@ def build_proposal_matrix(model: ClassicalSpinModel,
 
     Uses K fixed draws of (t, gamma) so T is a definite matrix.  T is
     symmetric because H is real symmetric, and is returned as (T + T^T) / 2
-    so that it is so to the last bit.  A flip-symmetric V evolves only the
-    starts x < 2^(L-1), in the flip sectors.
+    so that it is so to the last bit.  Draws evolve by the chain step's
+    propagator, a flip-symmetric V only the starts x < 2^(L-1).
     """
     if model.L > MAX_MATRIX_QUBITS:
         raise CapacityError(
@@ -581,7 +593,6 @@ def build_proposal_matrix(model: ClassicalSpinModel,
     dim = v.size
     # index dim-1-x is ~x: V is flip-symmetric (zero fields)
     flip = np.array_equal(v, v[::-1])
-    evolve = _sector_columns if flip else _evolved_columns
     start = np.arange(dim // 2 if flip else dim)
     t_mat = np.zeros((dim, start.size))
     for _ in range(K):
@@ -589,10 +600,10 @@ def build_proposal_matrix(model: ClassicalSpinModel,
         # w stays bound into the next draw: freeing every large array at
         # once lets malloc trim the heap, and re-faulting those pages on
         # each draw cost 15% of this loop at L = 8
-        w = evolve(v, g, t, start)
+        w = _start_columns(v, cfg, g, t, start)
         t_mat += np.abs(w) ** 2
     if flip:
-        # column ~x is column x read bottom-up
+        # column ~x is column x bottom-up: every propagator keeps flip symmetry
         t_mat = np.concatenate([t_mat, t_mat[::-1, ::-1]], axis=1)
     t_mat /= K
     if cfg.mix_single_flip > 0.0:
@@ -620,6 +631,7 @@ def assemble_kernel(t: TransitionMatrix, model: ClassicalSpinModel,
     With an exactly symmetric T, P is reversible with respect to the
     Boltzmann distribution, which is kept as ``stationary``.
     """
+    _check_finite(beta=beta)
     v = energy_table(model)
     if v.size != t.dimension:
         raise ValueError("matrix size does not match the model")

@@ -72,10 +72,6 @@ class SpinConfiguration:
         if any(s not in (1, -1) for s in self.spins):
             raise ValueError("spins must be +1 or -1")
 
-    @property
-    def length(self) -> int:
-        return len(self.spins)
-
     def to_index(self) -> int:
         idx = 0
         for k, s in enumerate(self.spins):

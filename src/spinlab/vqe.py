@@ -349,10 +349,6 @@ def noisy_gradient_step(a: HVAnsatz, M: int, delta: float,
 class SRMatrix:
     entries: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
     def __post_init__(self):
         s = np.asarray(self.entries, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:

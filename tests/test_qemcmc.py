@@ -22,6 +22,9 @@ from scipy.sparse.linalg import expm_multiply
 from spinlab import qemcmc
 from spinlab.qemcmc import (
     CHEBYSHEV_MIN_QUBITS,
+    MAX_EXACT_QUBITS,
+    MAX_MATRIX_QUBITS,
+    MAX_TROTTER_QUBITS,
     ChainDiagnostics,
     ClassicalSpinModel,
     QuantumProposalConfig,
@@ -370,6 +373,37 @@ class TestProposeQuantum:
             propose_quantum(m, SpinConfiguration.from_index(0, L), cfg,
                             np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kind,L,message", [
+        ("exact", MAX_EXACT_QUBITS + 1, "exact proposal capped at 12 sites"),
+        ("matrix", MAX_MATRIX_QUBITS + 1,
+         "proposal matrix capped at 10 sites"),
+        ("trotter", MAX_TROTTER_QUBITS + 1,
+         "energy table capped at 20 sites")],
+        ids=["exact", "matrix", "trotter"])
+    def test_proposal_caps_raise_before_evolving(self, monkeypatch, kind, L,
+                                                 message):
+        def refuse(*args):
+            raise AssertionError("a capped proposal evolved")
+        for name in ("_chebyshev_columns", "_sector_columns",
+                     "_evolved_columns", "_trotter_columns"):
+            monkeypatch.setattr(qemcmc, name, refuse)
+        m = ClassicalSpinModel(L, np.zeros((L, L)), np.zeros(L))
+        cfg = QuantumProposalConfig(
+            gamma_range=(0.1, 0.2),
+            evolution="trotter" if kind == "trotter" else "exact")
+        rng = np.random.default_rng(0)
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            if kind == "matrix":
+                build_proposal_matrix(m, cfg, K=2, rng=rng)
+            else:
+                run_chain(m, cfg, 1.0, 10, rng)
+        # the energy table's cap comes first in a chain; the step's own
+        # Trotter cap still guards a table handed to it directly
+        if kind == "trotter":
+            with pytest.raises(CapacityError,
+                               match="^trotter proposal capped at 20 sites$"):
+                _quantum_step(np.zeros(2 ** L), cfg, np.array([0]), rng)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuantumProposalConfig(gamma_range=(0.0, 0.5))
@@ -388,6 +422,15 @@ class TestProposeQuantum:
             with pytest.raises(ValueError, match="trotter_steps must be at"):
                 QuantumProposalConfig(gamma_range=(0.1, 0.5),
                                       evolution="trotter", trotter_steps=steps)
+        # a nan bound passed every comparison, and the first step then failed
+        # inside numpy's uniform with a message that named no field
+        for field, bad in (("gamma_range", (0.1, np.nan)),
+                           ("gamma_range", (-np.inf, 0.5)),
+                           ("time_range", (2.0, np.nan)),
+                           ("time_range", (2.0, np.inf))):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                QuantumProposalConfig(**{"gamma_range": (0.1, 0.5),
+                                         field: bad})
 
     def test_for_model_scales_with_couplings(self):
         m = ferromagnetic_chain(6, J=2.0)
@@ -620,6 +663,19 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(m, "cluster", 1.0, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # a nan beta used to freeze the chain (acceptance 0, tau = n / 2),
+        # and assemble_kernel then failed in numpy naming nothing
+        m = ferromagnetic_chain(4)
+        for call in (
+                lambda: run_chain(m, "single-flip", beta, 200,
+                                  np.random.default_rng(0)),
+                lambda: assemble_kernel(single_flip_matrix(4), m, beta),
+                lambda: boltzmann_distribution(m, beta)):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                call()
+
     def test_mixed_proposal_moves_when_quantum_part_is_frozen(self):
         # gamma ~ 0 makes the pure quantum chain sit still; the single-flip
         # admixture keeps it irreducible, one flipped site at a time
@@ -672,20 +728,59 @@ class TestBuildProposalMatrix:
     def test_flip_symmetric_energies_evolve_half_the_starts(
             self, monkeypatch, field):
         calls = []
-        for name in ("_sector_columns", "_evolved_columns"):
-            def spy(v, g, t, start, _evolve=getattr(qemcmc, name),
+        for name in ("_sector_columns", "_evolved_columns",
+                     "_trotter_columns"):
+            def spy(v, g, t, start, *steps, _evolve=getattr(qemcmc, name),
                     _name=name):
                 calls.append((_name, start.size))
-                return _evolve(v, g, t, start)
+                return _evolve(v, g, t, start, *steps)
             monkeypatch.setattr(qemcmc, name, spy)
         rng = np.random.default_rng(40)
         glass = spin_glass_instance(5, rng)
         h = rng.normal(size=5) if field else np.zeros(5)
         m = ClassicalSpinModel(5, glass.couplings, h)
-        build_proposal_matrix(m, QuantumProposalConfig.for_model(m), K=3,
-                              rng=np.random.default_rng(41))
-        want = ("_evolved_columns", 32) if field else ("_sector_columns", 16)
-        assert calls == [want] * 3
+        exact = QuantumProposalConfig.for_model(m)
+        trotter = QuantumProposalConfig(exact.gamma_range, evolution="trotter",
+                                        trotter_steps=4)
+        starts = 32 if field else 16
+        for cfg, want in (
+                (exact, ("_evolved_columns" if field else "_sector_columns",
+                         starts)),
+                (trotter, ("_trotter_columns", starts))):
+            calls.clear()
+            build_proposal_matrix(m, cfg, K=3, rng=np.random.default_rng(41))
+            assert calls == [want] * 3
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    @pytest.mark.parametrize("kind", ["ferromagnet", "glass", "glass-fields"])
+    def test_trotter_config_builds_its_trotter_kernel(self, L, kind):
+        # the matrix once took the exact propagator for every config; the
+        # Trotter kernel the chain samples differed by up to 0.65 per entry
+        rng = np.random.default_rng(500 + L)
+        m = (ferromagnetic_chain(L, J=0.7) if kind == "ferromagnet"
+             else spin_glass_instance(L, rng))
+        if kind == "glass-fields":
+            m = ClassicalSpinModel(L, m.couplings, rng.normal(size=L))
+        v = energy_table(m)
+        for steps in (1, 4):
+            for mix in (0.0, 0.3):
+                cfg = QuantumProposalConfig(
+                    QuantumProposalConfig.for_model(m).gamma_range,
+                    evolution="trotter", trotter_steps=steps,
+                    mix_single_flip=mix)
+                got = build_proposal_matrix(m, cfg, K=3,
+                                            rng=np.random.default_rng(L))
+                draws = np.random.default_rng(L)
+                want = np.zeros((v.size, v.size))
+                for _ in range(3):
+                    t, g = cfg.draw(draws)
+                    want += np.abs(_trotter_columns(
+                        v, g, t, np.arange(v.size), steps)) ** 2
+                want /= 3
+                if mix:
+                    want = ((1.0 - mix) * want
+                            + mix * single_flip_matrix(L).proposal)
+                assert np.array_equal(got.proposal, (want + want.T) / 2)
 
     def test_vanishing_field_gives_identity(self):
         m = spin_glass_instance(4, np.random.default_rng(28))
