@@ -1,0 +1,107 @@
+/* spinlab's compiled kernels: the Metropolis accept-and-record loop of
+   spinlab.qemcmc._metropolis, and the transverse-field rotation and sum
+   sum_k X_k of spinlab.statevector.
+
+   spinlab._native builds this with -O2 -ffp-contract=off and without
+   -ffast-math, so every sum and product rounds once, as numpy's do (and
+   1.0 * d is d bitwise, nan and -inf included).  The Python callers check
+   each array's dtype, contiguity and size before they pass a pointer. */
+
+#include <stdint.h>
+
+/* One call runs one pre-drawn block of n_steps x n_chains moves and log u
+   values, row by row.  Chain c proposes p = idx[c] ^ move (flip) or
+   p = move, takes it when log u < scale * (t[p] - t[idx[c]]), and after
+   global step s = first_step + 1, ... with s - burn_in a positive multiple
+   k of thinning, writes its state to records[c, k - 1].
+
+   Returns the number of accepted moves, or -1 after writing the first
+   proposal outside [0, dim) to *bad, before that proposal is read. */
+int64_t spinlab_metropolis(const double *table, int64_t dim, double scale,
+                           const int64_t *moves, const double *logu,
+                           int64_t n_steps, int64_t n_chains, int32_t flip,
+                           int64_t *idx, int64_t *records, int64_t n_records,
+                           int64_t first_step, int64_t burn_in,
+                           int64_t thinning, int64_t *bad)
+{
+    int64_t accepted = 0;
+    for (int64_t s = 0; s < n_steps; s++) {
+        const int64_t *move = moves + s * n_chains;
+        const double *lu = logu + s * n_chains;
+        for (int64_t c = 0; c < n_chains; c++) {
+            int64_t i = idx[c];
+            int64_t p = flip ? (i ^ move[c]) : move[c];
+            if (p < 0 || p >= dim) {
+                *bad = p;
+                return -1;
+            }
+            if (lu[c] < scale * (table[p] - table[i])) {
+                idx[c] = p;
+                accepted++;
+            }
+        }
+        int64_t past = first_step + s + 1 - burn_in;
+        if (past > 0 && past % thinning == 0 && past / thinning <= n_records) {
+            int64_t col = past / thinning - 1;
+            for (int64_t c = 0; c < n_chains; c++)
+                records[c * n_records + col] = idx[c];
+        }
+    }
+    return accepted;
+}
+
+/* In place on n complex entries (interleaved re, im), apply the symmetric
+   gates [[g00, g01], [g01, g00]] in order, gate g on qubit qubits[g] with
+   gates[4g .. 4g+3] = re g00, im g00, re g01, im g01.  A qubit step moves
+   the entry index by unit << qubit: unit is 1 for a vector or a flat stack
+   of rows, m for a (2^L, m) block of columns.
+
+   Each entry v with partner w becomes (g00 v) + (g01 w), each product the
+   full (ar br - ai bi, ar bi + ai br).  For an X rotation, whose entries
+   each have one zero part, that rounds as numpy's product does whether
+   numpy fuses it into a multiply-add or not (short of a nan's sign, or the
+   sign of a zero that a subnormal product underflows to). */
+void spinlab_rotate_x(double *amps, int64_t n, int64_t unit,
+                      const int64_t *qubits, const double *gates,
+                      int64_t n_gates)
+{
+    for (int64_t g = 0; g < n_gates; g++) {
+        const double ar = gates[4 * g], ai = gates[4 * g + 1];
+        const double br = gates[4 * g + 2], bi = gates[4 * g + 3];
+        const int64_t step = unit << qubits[g];
+        for (int64_t base = 0; base < n; base += 2 * step) {
+            for (int64_t j = base; j < base + step; j++) {
+                double *v = amps + 2 * j, *w = amps + 2 * (j + step);
+                const double vr = v[0], vi = v[1], wr = w[0], wi = w[1];
+                const double bwr = br * wr - bi * wi, bwi = br * wi + bi * wr;
+                const double bvr = br * vr - bi * vi, bvi = br * vi + bi * vr;
+                const double avr = ar * vr - ai * vi, avi = ar * vi + ai * vr;
+                const double awr = ar * wr - ai * wi, awi = ar * wi + ai * wr;
+                v[0] = avr + bwr;
+                v[1] = avi + bwi;
+                w[0] = awr + bvr;
+                w[1] = awi + bvi;
+            }
+        }
+    }
+}
+
+/* out = sum_k X_k in over the 2^n_sites entries of in, each entry width
+   doubles (1 real, 2 complex): out starts at 0.0 and, for k ascending,
+   gains the entry whose index differs in bit k. */
+void spinlab_x_sum(const double *in, double *out, int64_t n_sites,
+                   int64_t width)
+{
+    const int64_t n = width << n_sites;
+    for (int64_t d = 0; d < n; d++)
+        out[d] = 0.0;
+    for (int64_t k = 0; k < n_sites; k++) {
+        const int64_t step = width << k;
+        for (int64_t base = 0; base < n; base += 2 * step) {
+            for (int64_t d = base; d < base + step; d++) {
+                out[d] += in[d + step];
+                out[d + step] += in[d];
+            }
+        }
+    }
+}

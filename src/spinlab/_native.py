@@ -1,14 +1,17 @@
-"""Build and load the compiled Metropolis loop, _metropolis.c, on first use.
+"""Build and load spinlab's compiled kernels, _kernels.c, on first use.
 
-spinlab runs from a source checkout with no install step, so the library is
-compiled lazily, by the first Metropolis call and never at import, into
-this package's __pycache__ (or, where that is not writable, into a
-temporary directory for this process alone).  The file name carries the
-sha256 of the source and of the compile command, so an edited source or
-changed flags never load a stale library.  Each build writes a temporary
-file and renames it into place, so processes that build at the same moment
-all end up with a whole library.  There is no fallback loop: without a C
-compiler the first call raises a RuntimeError that names the command.
+The library holds the Metropolis loop of qemcmc and the transverse-field
+rotation and X sum of statevector; each caller checks its arrays before it
+passes a pointer.  spinlab runs from a source checkout with no install
+step, so the library is compiled lazily, by the first kernel call (a chain
+or an X layer, say) and never at import, into this package's __pycache__
+(or, where that is not writable, into a temporary directory for this
+process alone).  The file name carries the sha256 of the source and of the
+compile command, so an edited source or changed flags never load a stale
+library.  Each build writes a temporary file and renames it into place, so
+processes that build at the same moment all end up with a whole library.
+There is no fallback: without a C compiler the first call raises a
+RuntimeError that names the command.
 """
 
 from __future__ import annotations
@@ -21,16 +24,16 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_metropolis.c")
+SOURCE = Path(__file__).with_name("_kernels.c")
 CACHE = Path(__file__).with_name("__pycache__")
-# no -ffast-math, and no fused multiply-add: the loop must round as numpy does
+# no -ffast-math, and no fused multiply-add: the kernels round as numpy does
 COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 def build(source: bytes, directory: Path) -> Path:
     """Compile source into directory unless that build is already there."""
     key = hashlib.sha256(source + "\0".join(COMPILE).encode()).hexdigest()
-    path = directory / f"_metropolis-{key[:16]}.so"
+    path = directory / f"_kernels-{key[:16]}.so"
     if path.exists():
         return path
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".build-", suffix=".so")
@@ -41,7 +44,7 @@ def build(source: bytes, directory: Path) -> Path:
     except (OSError, subprocess.CalledProcessError) as err:
         detail = getattr(err, "stderr", None) or str(err).encode()
         raise RuntimeError(
-            f"spinlab's Metropolis kernel needs a C compiler: "
+            f"spinlab's compiled kernels need a C compiler: "
             f"{' '.join(cmd)} failed: "
             f"{detail.decode(errors='replace').strip()}") from err
     else:
@@ -52,19 +55,24 @@ def build(source: bytes, directory: Path) -> Path:
     return path
 
 
-def _load(path: Path):
-    fn = ctypes.CDLL(str(path)).spinlab_metropolis
+def _load(path: Path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.restype = i64
-    fn.argtypes = (ptr, i64, ctypes.c_double, ptr, ptr, i64, i64,
-                   ctypes.c_int32, ptr, ptr, i64, i64, i64, i64,
-                   ctypes.POINTER(i64))
-    return fn
+    lib.spinlab_metropolis.restype = i64
+    lib.spinlab_metropolis.argtypes = (
+        ptr, i64, ctypes.c_double, ptr, ptr, i64, i64, ctypes.c_int32, ptr,
+        ptr, i64, i64, i64, i64, ctypes.POINTER(i64))
+    lib.spinlab_rotate_x.restype = None
+    lib.spinlab_rotate_x.argtypes = (ptr, i64, i64, ptr, ptr, i64)
+    lib.spinlab_x_sum.restype = None
+    lib.spinlab_x_sum.argtypes = (ptr, ptr, i64, i64)
+    return lib
 
 
 @functools.cache
-def metropolis_kernel():
-    """The compiled spinlab_metropolis, built on the first call."""
+def library() -> ctypes.CDLL:
+    """The compiled library with its argument types set, built on the
+    first call."""
     source = SOURCE.read_bytes()
     try:
         CACHE.mkdir(exist_ok=True)

@@ -12,7 +12,7 @@ accepts a move i -> p when log u < scale * (t[p] - t[i]) on a precomputed
 table t (the energies V with scale -beta in run_chain, log |psi|^2 with
 scale 1 in VMC) and records the state after step burn_in + k * thinning
 (run_chain: burn_in 0, thinning record_every).  Its per-step loop is the C
-function of _metropolis.c, built on the first call (see _native); Python
+function of _kernels.c, built on the first call (see _native); Python
 draws each block of moves and log u, so the random stream is numpy's.
 
 The exact proposal evolves only the chains' start columns of exp(-iHt), by
@@ -47,7 +47,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import jv
 
-from ._native import metropolis_kernel
+from ._native import library
 from .pauli import _number_array, _positive_int
 from .statevector import (CapacityError, SpinConfiguration, _inverse_cdf,
                           _normalized_cdf, _rotate_qubits, _x_gate,
@@ -198,7 +198,11 @@ def boltzmann_distribution(model: ClassicalSpinModel,
                            beta: float) -> np.ndarray:
     _check_finite(beta=beta)
     v = energy_table(model)
-    w = np.exp(-beta * (v - v.min()))
+    # shift so the largest weight is exp(0) = 1: the lowest energy for
+    # beta >= 0, the highest below; a product past the float range is an
+    # exact zero weight, exp(-inf)
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta * (v - (v.min() if beta >= 0 else v.max())))
     return w / w.sum()
 
 
@@ -480,7 +484,7 @@ def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
     records = np.empty((n_chains, (steps - burn_in) // thinning),
                        dtype=np.int64)
     table = np.ascontiguousarray(table, dtype=float)
-    kernel = metropolis_kernel()
+    kernel = library().spinlab_metropolis
     bad = ctypes.c_int64()
     accepted = 0
     for done in range(0, steps, block):
@@ -635,8 +639,11 @@ def assemble_kernel(t: TransitionMatrix, model: ClassicalSpinModel,
     v = energy_table(model)
     if v.size != t.dimension:
         raise ValueError("matrix size does not match the model")
-    # min(0, .) inside the exp: min(1, exp(.)) overflows uphill at large beta
-    a = np.exp(np.minimum(0.0, -beta * (v[None, :] - v[:, None])))
+    # min(0, .) inside the exp: min(1, exp(.)) overflows uphill at large
+    # |beta|, where the product itself may pass the float range to -inf or
+    # to +inf, which min(0, .) clips
+    with np.errstate(over="ignore"):
+        a = np.exp(np.minimum(0.0, -beta * (v[None, :] - v[:, None])))
     p = t.proposal * a
     np.fill_diagonal(p, 0.0)
     np.fill_diagonal(p, 1.0 - p.sum(axis=1))

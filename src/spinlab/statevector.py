@@ -5,11 +5,15 @@ values of Pauli sums, projective Z-basis sampling, exact diagonalization,
 Lanczos ground states, and real-time evolution.  Everything is capped at
 desk scale: 26 qubits for vectors, 12 for dense and sparse matrices.
 
-Every single-qubit gate runs through ``_rotate_qubits``, which takes a
-symmetric gate such as an X rotation in three in-place ufunc calls per qubit
-with the bits of the general form.  Z-basis draws are inverse-CDF searches
-that an exact guide table shortcuts when there are at least as many draws as
-basis states.
+X rotations run in one call of the compiled spinlab_rotate_x (see
+_native), with the bits of numpy's general form: the HVA X layer calls
+``_rotate_x`` itself, and ``_rotate_qubits`` sends it every list of X
+rotations, as in Trotter steps, and runs any other gate in that numpy
+form.  sum_k X_k is the compiled spinlab_x_sum.  The ZZ phase layer stays
+in numpy: a fully complex product may be fused into a multiply-add by
+numpy and not by the library, and then the two round apart.  Z-basis draws
+are inverse-CDF searches that an exact guide table shortcuts when there
+are at least as many draws as basis states.
 
 Spin encoding: basis index bit k = 0 means spin +1 on site k, bit 1 means
 spin -1 (qubit k <-> spin k).
@@ -26,6 +30,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from ._native import library
 from .pauli import PauliString, PauliSum, _bit_action, _string_values
 
 MAX_STATE_QUBITS = 26
@@ -151,31 +156,74 @@ def basis_state(n: int, index: int) -> StateVector:
     return StateVector(amps)
 
 
+_F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
+
+
+def _native_array(name: str, a: np.ndarray, dtypes: tuple[np.dtype, ...]
+                  ) -> None:
+    """Refuse an array that a compiled kernel cannot take by pointer."""
+    if not isinstance(a, np.ndarray) or a.dtype not in dtypes:
+        raise ValueError(f"{name} must be a "
+                         f"{' or '.join(d.name for d in dtypes)} array, got "
+                         f"{getattr(a, 'dtype', type(a).__name__)}")
+    if not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+
+
+def _rotate_x(amps: np.ndarray, unit: int, qubits: Sequence[int],
+              gates: np.ndarray) -> None:
+    """[[g00, g01], [g01, g00]] with gates[i] = (g00, g01) on qubit
+    qubits[i], in order, in place, by the compiled spinlab_rotate_x.
+
+    amps is a writable C-contiguous complex128 array; a qubit step moves its
+    flat entry index by unit << qubit (1 for a vector or a stack of rows, m
+    for a (2^n, m) block of columns).
+    """
+    _native_array("amps", amps, (_C128,))
+    if not amps.flags.writeable:
+        raise ValueError("amps must be writable")
+    gates = np.ascontiguousarray(gates, dtype=_C128)
+    if gates.shape != (len(qubits), 2):
+        raise ValueError(f"need one (g00, g01) row per qubit, got "
+                         f"{len(qubits)} qubits and gates of shape "
+                         f"{gates.shape}")
+    if len(qubits) and (min(qubits) < 0 or unit < 1
+                        or amps.size % (unit << (max(qubits) + 1))):
+        raise ValueError(f"{amps.size} entries at unit {unit} do not split "
+                         f"into pairs on qubits {list(qubits)}")
+    qubits = np.array(qubits, dtype=np.int64)
+    library().spinlab_rotate_x(amps.ctypes.data, amps.size, unit,
+                               qubits.ctypes.data, gates.ctypes.data,
+                               qubits.size)
+
+
 def _rotate_qubits(amps: np.ndarray,
                    gates: Sequence[tuple[int, np.ndarray]]) -> None:
     """Apply (qubit, 2x2 gate) pairs in order, in place.
 
     amps is C-contiguous: a (2^n, m) block of m columns, or a flat vector
     holding one or more 2^n states back to back (a C-contiguous (m, 2^n)
-    stack passed as ``reshape(-1)``).  Plain elementwise products keep the
-    bits identical to the one-vector result; a BLAS or FMA path could move
-    the last bit of the golden CSVs.
+    stack passed as ``reshape(-1)``).  Every column or row comes out bitwise
+    equal to the one-vector result.
 
-    A symmetric gate (g00 == g11, g01 == g10, as every ``_x_gate``) takes
-    three in-place ufunc calls instead of eight: g01 times the pair-swapped
-    view, then g00 times the view, then their sum.  Each product keeps its
-    operands and their order, and the only change from the general form is
-    ``g10 v0 + g11 v1`` -> ``g11 v1 + g10 v0``, an exact swap in IEEE
-    addition, so both forms give the same bits.
+    A list of X rotations only (g00 == g11 real, g01 == g10 pure imaginary,
+    as every ``_x_gate``) runs as one ``_rotate_x`` call.  Each entry of
+    such a gate has a zero part, so each product rounds the same whether or
+    not numpy fuses it (short of a subnormal product's signed zero, or a
+    nan's sign), and the compiled ``g00 v + g01 w`` matches the general
+    form below bit for bit; ``g10 v0 + g11 v1`` only swaps the two terms,
+    an exact swap in IEEE addition.  Any other gate runs the general form
+    with plain elementwise products.
     """
-    for k, g in gates:
+    gates = [(k, g.tolist()) for k, g in gates]
+    if gates and all(g00 == g11 and g01 == g10 and g00.imag == 0
+                     and g01.real == 0
+                     for _, ((g00, g01), (g10, g11)) in gates):
+        _rotate_x(amps, amps.size // amps.shape[0], [k for k, _ in gates],
+                  [g[0] for _, g in gates])
+        return
+    for k, ((g00, g01), (g10, g11)) in gates:
         view = amps.reshape(amps.shape[0] >> (k + 1), 2, -1)
-        (g00, g01), (g10, g11) = g.tolist()
-        if g00 == g11 and g01 == g10:
-            tmp = g01 * view[:, ::-1]
-            np.multiply(g00, view, out=view)
-            view += tmp
-            continue
         v0, v1 = view[:, 0], view[:, 1]
         top = g00 * v0 + g01 * v1
         view[:, 1] = g10 * v0 + g11 * v1
@@ -189,11 +237,15 @@ def _x_gate(a: float) -> np.ndarray:
 
 
 def _x_sum(amps: np.ndarray, n: int) -> np.ndarray:
-    """sum_k X_k applied to a length-2^n array; k ascends, fixing the rounding."""
-    out = np.zeros_like(amps)
-    for k in range(n):
-        o = out.reshape(2 ** (n - 1 - k), 2, -1)
-        o += amps.reshape(2 ** (n - 1 - k), 2, -1)[:, ::-1]
+    """sum_k X_k applied to a float64 or complex128 vector of 2^n entries by
+    the compiled spinlab_x_sum; k ascends, fixing the rounding."""
+    _native_array("amps", amps, (_F64, _C128))
+    if amps.shape != (2 ** n,):
+        raise ValueError(f"amps must be a vector of 2^{n} entries, got "
+                         f"shape {amps.shape}")
+    out = np.empty_like(amps)
+    library().spinlab_x_sum(amps.ctypes.data, out.ctypes.data, n,
+                            amps.itemsize // 8)
     return out
 
 
@@ -222,8 +274,8 @@ def _hva_layer(block: np.ndarray, model: TFIMModel, slot: int,
         vals, inv = _zz_levels(model.L, model.periodic)
         block *= np.exp(1j * theta * (-model.J) * vals)[inv]
     else:
-        gate = _x_gate(theta * model.Gamma)
-        _rotate_qubits(block.reshape(-1), [(k, gate) for k in range(model.L)])
+        row = _x_gate(theta * model.Gamma)[:1]
+        _rotate_x(block, 1, range(model.L), row.repeat(model.L, axis=0))
 
 
 def _layer(s: StateVector, model: TFIMModel, slot: int,

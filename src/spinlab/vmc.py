@@ -110,6 +110,7 @@ def local_energy_table(a, model: TFIMModel) -> np.ndarray:
     the single-flip neighbor.  Entries where psi(x) = 0 come out nan.
     """
     amp = np.asarray(a.amplitude_table())
+    amp = np.ascontiguousarray(amp, dtype=np.result_type(amp, np.float64))
     levels, inv = _zz_levels(model.L, model.periodic)
     ratio_sum = _x_sum(amp, model.L)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -2,7 +2,9 @@
 
 The digests below are sha256 prefixes of raw ``tobytes()`` output, recorded
 from the 8-op rotation loop and the 2-add ``_x_sum`` that are kept here as
-``_rotate_qubits_ref`` and ``_x_sum_ref``.  They cover the HVA gradient,
+``_rotate_qubits_ref`` and ``_x_sum_ref``; the compiled X rotation and X
+sum are held to those two bit for bit, on signed zeros, infinities and nan
+too (the rotation's nan signs aside).  The digests cover the HVA gradient,
 ``prepare``, ``sr_matrix``, ``apply_exp_x``, ``rotate_to_basis``, Trotter
 evolution, the Trotter proposal columns, the VMC local-energy table, the
 grouped shot-noise estimator, ``diagonal_values``, ``PauliSum.dense`` on a
@@ -29,6 +31,7 @@ script to print the digests of the code as it stands.
 """
 
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -903,7 +906,10 @@ def _gates():
     return {"x0": _x_gate(0.0), "x+0.37": _x_gate(0.37),
             "x-0.37": _x_gate(-0.37), "x-pi/2": _x_gate(np.pi / 2),
             "hadamard": had, "y-rotation": _BASIS_ROT["Y"],
-            "random": rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))}
+            "random": rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+            # symmetric but not an X rotation: it must keep the numpy form
+            "symmetric-complex": np.array([[0.6 + 0.3j, -0.2 + 0.7j],
+                                           [-0.2 + 0.7j, 0.6 + 0.3j]])}
 
 
 def _blocks(n):
@@ -928,6 +934,71 @@ def test_rotation_kernel_matches_general_form_bitwise(gate, n):
         _rotate_qubits_ref(ref, [(k, g) for k in order])
         _rotate_qubits(amps, [(k, g) for k in order])
         assert amps.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("m", (1, 3, 5))
+@pytest.mark.parametrize("n", (1, 5, 12))
+def test_x_rotations_match_general_form_bitwise(n, m):
+    """One angle on every qubit, as an HVA X layer, and per-qubit angles in
+    a shuffled order, as ``evolve("trotter")`` builds them, on a flat stack
+    of m rows and on a (2^n, m) block of columns."""
+    rng = np.random.default_rng(70 + 10 * n + m)
+    shared = [(k, _x_gate(0.37)) for k in range(n)]
+    shuffled = [(int(k), _x_gate(a))
+                for k, a in zip(rng.permutation(n), rng.normal(size=n))]
+    for gates in (shared, shuffled):
+        for shape in ((m * 2 ** n,), (2 ** n, m)):
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            ref = amps.copy()
+            _rotate_qubits_ref(ref, gates)
+            _rotate_qubits(amps, gates)
+            assert amps.tobytes() == ref.tobytes(), shape
+
+
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 1.5)
+
+
+def _special_pairs() -> np.ndarray:
+    """Every (v, w) pair whose four parts are drawn from SPECIAL, one per
+    row of a (6^4, 2) array."""
+    parts = np.array(list(itertools.product(SPECIAL, repeat=4)))
+    pairs = np.empty((parts.shape[0], 2), dtype=complex)
+    pairs.real = parts[:, :2]
+    pairs.imag = parts[:, 2:]
+    return pairs
+
+
+@pytest.mark.parametrize("gate", ["x0", "x+0.37", "x-0.37", "x-pi/2"])
+def test_x_rotation_keeps_signed_zeros_and_non_finite_entries(gate):
+    """Bitwise wherever the general form gives a number; nan where it gives
+    nan.  A nan's sign is the host's choice (which operand of a two-nan sum
+    survives, and whether a fused product keeps an input nan over the
+    default nan of 0 * inf), so it is not compared."""
+    gates = [(0, _gates()[gate])]
+    pairs = _special_pairs()
+    # each row a one-qubit vector, then each column of a (2, 6^4) block
+    for amps in (pairs.reshape(-1), pairs.T.copy()):
+        ref = amps.copy()
+        with np.errstate(invalid="ignore"):  # numpy's 0 * inf
+            _rotate_qubits_ref(ref, gates)
+        _rotate_qubits(amps, gates)
+        got, want = amps.view(float), ref.view(float)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 5, 12))
+def test_x_sum_keeps_signed_zeros_and_non_finite_entries_bitwise(n):
+    rng = np.random.default_rng(80 + n)
+    parts = rng.choice(SPECIAL, size=(2, 2 ** n), p=(0.2, 0.2, 0.02, 0.02,
+                                                      0.02, 0.54))
+    cplx = np.empty(2 ** n, dtype=complex)
+    cplx.real, cplx.imag = parts
+    for amps in (parts[0].copy(), cplx):
+        with np.errstate(invalid="ignore"):  # numpy's inf - inf
+            want = _x_sum_ref(amps, n)
+        assert _x_sum(amps, n).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("L", range(2, 9))

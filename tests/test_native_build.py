@@ -1,22 +1,26 @@
-"""The compiled Metropolis loop is built on first use and cached by content.
+"""The compiled kernels are built on first use and cached by content.
 
 spinlab runs from a source checkout, so nothing is compiled at import: the
-first Metropolis call builds _metropolis.c into the package's __pycache__
-under a name keyed by the source and the compile command, and later calls
-and processes load that file.
+first Metropolis chain or X layer builds _kernels.c into the package's
+__pycache__ under a name keyed by the source and the compile command, and
+later calls and processes load that file.  The statevector entry points
+refuse an array they cannot pass by pointer before they load anything.
 """
 
 import ctypes
+import fnmatch
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinlab
-from spinlab import _native
+from spinlab import _native, statevector
 
 SRC = Path(spinlab.__file__).resolve().parents[1]
 ENV = {**os.environ,
@@ -60,6 +64,87 @@ def test_import_builds_and_loads_nothing_until_the_first_chain():
     assert second == first
 
 
+@pytest.mark.parametrize("first", [
+    "prepare(HVAnsatz.zeros(TFIMModel(4), 1))",
+    "apply_exp_x(init_plus(4), 0.3, TFIMModel(4))"])
+def test_first_x_layer_loads_the_library_and_a_chain_loads_nothing_more(
+        first):
+    out = _check(_python("""
+        import ctypes, subprocess, sys
+        events = []
+        real_run, real_cdll = subprocess.run, ctypes.CDLL
+        subprocess.run = lambda *a, **k: events.append("run") or real_run(*a, **k)
+        ctypes.CDLL = lambda *a, **k: events.append("load") or real_cdll(*a, **k)
+        import spinlab.statevector, spinlab.vqe
+        print(events)
+        from spinlab.statevector import TFIMModel, apply_exp_x, init_plus
+        from spinlab.vqe import HVAnsatz, prepare
+        eval(sys.argv[1])
+        print(events)
+        import numpy as np
+        from spinlab.qemcmc import ferromagnetic_chain, run_chain
+        run_chain(ferromagnetic_chain(4), "single-flip", 1.0, 10,
+                  np.random.default_rng(0))
+        print(events)
+        """, first))
+    at_import, layer, chain = out.splitlines()
+    assert at_import == "[]"
+    assert layer in ("['load']", "['run', 'load']")
+    assert chain == layer
+
+
+def _no_library():
+    raise AssertionError("the library was loaded for a refused array")
+
+
+def _cplx(*shape):
+    return np.zeros(shape, dtype=complex)
+
+
+@pytest.mark.parametrize("amps, unit, qubits, match", [
+    (_cplx(16)[::2], 1, [0], "C-contiguous"),
+    (_cplx(8, 4).T, 4, [0], "C-contiguous"),
+    (np.zeros(8, dtype=np.complex64), 1, [0], "complex128"),
+    (np.zeros(8), 1, [0], "complex128"),
+    ([0j] * 8, 1, [0], "complex128"),
+    (_cplx(12), 1, [2], "do not split"),
+    (_cplx(8), 1, [3], "do not split"),
+    (_cplx(8), 1, [-1], "do not split"),
+    (_cplx(8, 3), 3, [3], "do not split"),
+    (_cplx(8), 0, [0], "do not split"),
+])
+def test_rotation_entry_point_refuses_a_bad_block(monkeypatch, amps, unit,
+                                                   qubits, match):
+    monkeypatch.setattr(statevector, "library", _no_library)
+    gates = np.ones((len(qubits), 2), dtype=complex)
+    with pytest.raises(ValueError, match=match):
+        statevector._rotate_x(amps, unit, qubits, gates)
+
+
+def test_rotation_entry_point_refuses_bad_gates_and_read_only_blocks(
+        monkeypatch):
+    monkeypatch.setattr(statevector, "library", _no_library)
+    with pytest.raises(ValueError, match="one .g00, g01. row per qubit"):
+        statevector._rotate_x(_cplx(8), 1, [0, 1], np.ones((1, 2)))
+    frozen = _cplx(8)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="writable"):
+        statevector._rotate_x(frozen, 1, [0], np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("amps, n, match", [
+    (np.zeros(16)[::2], 3, "C-contiguous"),
+    (np.zeros(8, dtype=np.float32), 3, "float64 or complex128"),
+    (np.zeros(8, dtype=np.int64), 3, "float64 or complex128"),
+    (np.zeros(8), 4, "2\\^4 entries"),
+    (np.zeros((4, 2)), 3, "2\\^3 entries"),
+])
+def test_x_sum_entry_point_refuses_a_bad_vector(monkeypatch, amps, n, match):
+    monkeypatch.setattr(statevector, "library", _no_library)
+    with pytest.raises(ValueError, match=match):
+        statevector._x_sum(amps, n)
+
+
 def test_source_or_flag_edit_builds_a_new_library(tmp_path, monkeypatch):
     source = _native.SOURCE.read_bytes()
     plain = _native.build(source, tmp_path)
@@ -101,6 +186,14 @@ def test_two_processes_building_at_once_both_load(tmp_path):
         Path(outs[0][0]).name]
 
 
+def test_package_data_ships_the_kernel_source():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    block = re.search(r"\[tool\.setuptools\.package-data\]\s*"
+                      r"spinlab = \[([^\]]*)\]", text)
+    patterns = [p.strip().strip('"') for p in block.group(1).split(",")]
+    assert any(fnmatch.fnmatch(_native.SOURCE.name, p) for p in patterns)
+
+
 def test_missing_compiler_raises_a_named_runtime_error(tmp_path, monkeypatch):
     monkeypatch.setattr(_native, "COMPILE",
                         ("spinlab-no-such-cc", *_native.COMPILE[1:]))
@@ -120,6 +213,6 @@ def test_unwritable_cache_builds_in_a_temporary_directory(tmp_path,
     # a cache whose parent is a file cannot be created, even by root
     (tmp_path / "file").touch()
     monkeypatch.setattr(_native, "CACHE", tmp_path / "file" / "__pycache__")
-    kernel = _native.metropolis_kernel.__wrapped__()
-    assert kernel.restype is ctypes.c_int64
+    lib = _native.library.__wrapped__()
+    assert lib.spinlab_metropolis.restype is ctypes.c_int64
     assert list(tmp_path.iterdir()) == [tmp_path / "file"]

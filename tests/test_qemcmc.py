@@ -284,6 +284,20 @@ class TestEnergy:
         assert np.allclose(pi, boltzmann_oracle(m, 1.7), atol=1e-12)
         assert pi.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("beta", [-1000.0, -1e308])
+    def test_negative_beta_sits_on_the_highest_energies(self, beta):
+        # the shift by the lowest energy overflowed here to inf / inf = nan
+        m = ferromagnetic_chain(4)
+        v = energy_table(m)
+        top = v == v.max()
+        pi = boltzmann_distribution(m, beta)
+        assert np.all(np.isfinite(pi))
+        assert pi.sum() == pytest.approx(1.0)
+        assert np.allclose(pi[top], 1.0 / top.sum())
+        assert np.all(pi[~top] == 0.0)
+        stationary = assemble_kernel(single_flip_matrix(4), m, beta).stationary
+        assert np.array_equal(stationary, pi)
+
     def test_magnetization_table(self):
         mt = magnetization_table(4)
         assert mt[0] == 4          # index 0 is all spins up

@@ -106,6 +106,14 @@ class TestLocalEnergy:
         e = local_energy_table(a, model)
         assert np.max(np.abs(e - e0)) < 1e-9
 
+    def test_integer_and_single_precision_tables_score_as_float64(self):
+        model = TFIMModel(L=4, J=0.8, Gamma=1.3)
+        table = np.arange(1, 17) * (-1) ** np.arange(16)
+        want = local_energy_table(AmplitudeTableAnsatz(4, table * 1.0), model)
+        for t in (table, table.astype(np.float32)):
+            got = local_energy_table(AmplitudeTableAnsatz(4, t), model)
+            assert got.tobytes() == want.tobytes()
+
     def test_uniform_state_formula(self):
         model = TFIMModel(L=6, J=0.8, Gamma=1.3)
         a = JastrowAnsatz(6, (0.0, 0.0, 0.0))
