@@ -19,7 +19,8 @@ The exact proposal evolves only the chains' start columns of exp(-iHt), by
 one of three propagators that agree to about 1e-13:
 
 - from L = 9 (CHEBYSHEV_MIN_QUBITS), the Chebyshev series of Tal-Ezer &
-  Kosloff, J. Chem. Phys. 81, 3967 (1984), with sparse products only;
+  Kosloff, J. Chem. Phys. 81, 3967 (1984), whose products are the diagonal
+  times a column plus the compiled sum_k X_k (statevector._x_sum);
 - below that, when V(x) = V(~x) (zero fields, as in every built-in
   instance), two eigh of size 2^(L-1), one per sector of the global flip
   (the symmetry-adapted basis of exact diagonalisation, Sandvik, AIP Conf.
@@ -44,13 +45,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 from scipy.special import jv
 
 from ._native import library
 from .pauli import _number_array, _positive_int
 from .statevector import (CapacityError, SpinConfiguration, _inverse_cdf,
-                          _normalized_cdf, _rotate_qubits, _x_gate,
+                          _normalized_cdf, _rotate_x, _x_gate, _x_sum,
                           all_spin_values)
 
 # A time cap, not a memory cap.  One Chebyshev proposal step (fully
@@ -312,6 +312,7 @@ def _chebyshev_columns(v_table: np.ndarray, gamma: float, t: float,
     max V + gamma L], exp(-iHt) = exp(-ict) sum_k (2 - delta_k0) (-i)^k
     J_k(rt) T_k(H~).  H is real and each start is a basis vector, so every
     T_k(H~)|x> is real: even k feed the real part, odd k the imaginary part.
+    H~ acts on all chains' columns at once by the compiled _x_sum.
     """
     L = v_table.size.bit_length() - 1
     dim = v_table.size
@@ -333,21 +334,16 @@ def _chebyshev_columns(v_table: np.ndarray, gamma: float, t: float,
     sign = np.array([1.0, -1.0, -1.0, 1.0])[k[:n_terms] % 4]
     weights = 2.0 * sign * bessel[:n_terms]
     weights[0] = bessel[0]
-    idx = np.arange(dim)
-    cols = np.concatenate([idx[:, None], idx[:, None] ^ (1 << np.arange(L))],
-                          axis=1)
-    data = np.empty((dim, L + 1))
-    data[:, 0] = (v_table - c) / r
-    data[:, 1:] = gamma / r
-    h = sparse.csr_matrix((data.ravel(), cols.ravel(),
-                           np.arange(0, dim * (L + 1) + 1, L + 1)),
-                          shape=(dim, dim))
-    two_h = 2.0 * h
-    prev, cur = x0, h @ x0
+    diag = ((v_table - c) / r)[:, None]
+
+    def h_tilde(x):
+        return diag * x + (gamma / r) * _x_sum(x, L)
+
+    prev, cur = x0, h_tilde(x0)
     re = weights[0] * prev
     im = weights[1] * cur
     for j in range(2, n_terms):
-        nxt = two_h @ cur
+        nxt = 2.0 * h_tilde(cur)
         nxt -= prev
         acc = re if j % 2 == 0 else im
         acc += weights[j] * nxt
@@ -363,11 +359,10 @@ def _trotter_columns(v_table: np.ndarray, gamma: float, t: float,
     amps[start, np.arange(start.size)] = 1.0
     dt = t / steps
     dphase = np.exp(-1j * dt * v_table)[:, None]
-    gate = _x_gate(gamma * dt)
-    gates = [(k, gate) for k in range(L)]
+    rows = _x_gate(gamma * dt)[:1].repeat(L, axis=0)
     for _ in range(steps):
         amps *= dphase
-        _rotate_qubits(amps, gates)
+        _rotate_x(amps, start.size, range(L), rows)
     return amps
 
 

@@ -6,14 +6,14 @@ Lanczos ground states, and real-time evolution.  Everything is capped at
 desk scale: 26 qubits for vectors, 12 for dense and sparse matrices.
 
 X rotations run in one call of the compiled spinlab_rotate_x (see
-_native), with the bits of numpy's general form: the HVA X layer calls
-``_rotate_x`` itself, and ``_rotate_qubits`` sends it every list of X
-rotations, as in Trotter steps, and runs any other gate in that numpy
-form.  sum_k X_k is the compiled spinlab_x_sum.  The ZZ phase layer stays
-in numpy: a fully complex product may be fused into a multiply-add by
-numpy and not by the library, and then the two round apart.  Z-basis draws
-are inverse-CDF searches that an exact guide table shortcuts when there
-are at least as many draws as basis states.
+_native), with the bits of numpy's general form: the HVA X layer and both
+Trotter steps call ``_rotate_x``, and ``_rotate_qubits`` is that numpy
+form, kept for the basis rotations.  sum_k X_k, on a vector or a block of
+columns, is the compiled spinlab_x_sum.  The ZZ phase layer stays in
+numpy: a fully complex product may be fused into a multiply-add by numpy
+and not by the library, and then the two round apart.  Z-basis draws are
+inverse-CDF searches that an exact guide table shortcuts when there are at
+least as many draws as basis states.
 
 Spin encoding: basis index bit k = 0 means spin +1 on site k, bit 1 means
 spin -1 (qubit k <-> spin k).
@@ -199,29 +199,19 @@ def _rotate_x(amps: np.ndarray, unit: int, qubits: Sequence[int],
 
 def _rotate_qubits(amps: np.ndarray,
                    gates: Sequence[tuple[int, np.ndarray]]) -> None:
-    """Apply (qubit, 2x2 gate) pairs in order, in place.
+    """Apply (qubit, 2x2 gate) pairs in order, in place, in numpy's general
+    two-product, two-sum form.
 
     amps is C-contiguous: a (2^n, m) block of m columns, or a flat vector
     holding one or more 2^n states back to back (a C-contiguous (m, 2^n)
     stack passed as ``reshape(-1)``).  Every column or row comes out bitwise
-    equal to the one-vector result.
-
-    A list of X rotations only (g00 == g11 real, g01 == g10 pure imaginary,
-    as every ``_x_gate``) runs as one ``_rotate_x`` call.  Each entry of
-    such a gate has a zero part, so each product rounds the same whether or
-    not numpy fuses it (short of a subnormal product's signed zero, or a
-    nan's sign), and the compiled ``g00 v + g01 w`` matches the general
-    form below bit for bit; ``g10 v0 + g11 v1`` only swaps the two terms,
-    an exact swap in IEEE addition.  Any other gate runs the general form
-    with plain elementwise products.
+    equal to the one-vector result.  An X rotation gives the same bits by
+    ``_rotate_x``: each entry of its gate has a zero part, so each product
+    rounds the same whether or not numpy fuses it (short of a subnormal
+    product's signed zero, or a nan's sign), and ``g10 v0 + g11 v1`` is the
+    compiled ``g00 w + g01 v`` with its two terms swapped, an exact swap in
+    IEEE addition.
     """
-    gates = [(k, g.tolist()) for k, g in gates]
-    if gates and all(g00 == g11 and g01 == g10 and g00.imag == 0
-                     and g01.real == 0
-                     for _, ((g00, g01), (g10, g11)) in gates):
-        _rotate_x(amps, amps.size // amps.shape[0], [k for k, _ in gates],
-                  [g[0] for _, g in gates])
-        return
     for k, ((g00, g01), (g10, g11)) in gates:
         view = amps.reshape(amps.shape[0] >> (k + 1), 2, -1)
         v0, v1 = view[:, 0], view[:, 1]
@@ -237,15 +227,17 @@ def _x_gate(a: float) -> np.ndarray:
 
 
 def _x_sum(amps: np.ndarray, n: int) -> np.ndarray:
-    """sum_k X_k applied to a float64 or complex128 vector of 2^n entries by
-    the compiled spinlab_x_sum; k ascends, fixing the rounding."""
+    """sum_k X_k applied by the compiled spinlab_x_sum to a float64 or
+    complex128 vector of 2^n entries, or to each column of a C-contiguous
+    (2^n, m) block, bitwise as to each column alone; k ascends, fixing the
+    rounding."""
     _native_array("amps", amps, (_F64, _C128))
-    if amps.shape != (2 ** n,):
-        raise ValueError(f"amps must be a vector of 2^{n} entries, got "
-                         f"shape {amps.shape}")
+    if amps.ndim not in (1, 2) or amps.shape[0] != 2 ** n:
+        raise ValueError(f"amps must be a vector or a block of columns of "
+                         f"2^{n} entries, got shape {amps.shape}")
     out = np.empty_like(amps)
     library().spinlab_x_sum(amps.ctypes.data, out.ctypes.data, n,
-                            amps.itemsize // 8)
+                            amps.itemsize // 8 * (amps.size >> n))
     return out
 
 
@@ -523,12 +515,14 @@ def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
         diag, xpart = _split_diagonal_x(h)
         dt = t / steps
         dphase = np.exp(-1j * dt * diagonal_values(diag))
-        gates = [(string.support()[0], _x_gate(coeff.real * dt))
-                 for coeff, string in xpart.terms]
+        qubits = [string.support()[0] for _, string in xpart.terms]
+        # (0, 2) with no X term: _rotate_x wants one gate row per qubit
+        rows = np.array([_x_gate(coeff.real * dt)[0]
+                         for coeff, _ in xpart.terms]).reshape(-1, 2)
         amps = s.amplitudes.copy()
         for _ in range(steps):
             amps *= dphase
-            _rotate_qubits(amps, gates)
+            _rotate_x(amps, 1, qubits, rows)
         return StateVector(amps)
     raise ValueError(f"unknown method {method!r}")
 

@@ -14,7 +14,9 @@ quantum proposal, the pooled autocorrelation time, the Jastrow amplitude
 table and the qubit-wise measurement groups, over L = 1, 2, 5, 8, 10 and
 three (J, Gamma, periodic) models; the eigh propagators stop at L = 5 and
 are held bitwise to ``_evolved_columns_ref`` and ``_sector_columns_ref``,
-their bodies before they shared one eigh core, at L = 2..8.
+their bodies before they shared one eigh core, at L = 2..8.  The Chebyshev
+series is held within 2e-14 of ``_chebyshev_columns_ref``, its body when
+each step built a CSR matrix, at L = 9..11.
 ``PROPOSAL_DIGESTS`` pins the quantum proposal's draws on each of its four
 propagators, and ``_sample_columns_ref`` keeps the per-column inverse-CDF
 sampler that the proposal once had, as the reference for its draw.
@@ -36,21 +38,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.special import jv
 
 from spinlab import qemcmc
 from spinlab.pauli import (FermionHamiltonian, PauliString, PauliSum,
                            group_qubitwise, map_fermionic)
-from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
-                            TransitionMatrix, _evolved_columns, _quantum_step,
-                            _sector_columns, _trotter_columns, _x_sum_matrix,
-                            assemble_kernel, autocorrelation_time_pooled,
+from spinlab.qemcmc import (CHEBYSHEV_TOL, ClassicalSpinModel,
+                            QuantumProposalConfig, TransitionMatrix,
+                            _chebyshev_columns, _evolved_columns,
+                            _quantum_step, _sector_columns, _trotter_columns,
+                            _x_sum_matrix, assemble_kernel,
+                            autocorrelation_time_pooled,
                             boltzmann_distribution, build_proposal_matrix,
                             energy_table, exact_autocorrelation_time,
-                            magnetization_table, single_flip_matrix,
-                            spectral_gap, spin_glass_instance, uniform_matrix)
+                            ferromagnetic_chain, magnetization_table,
+                            single_flip_matrix, spectral_gap,
+                            spin_glass_instance, uniform_matrix)
 from spinlab.statevector import (_BASIS_ROT, StateVector, TFIMModel,
-                                 _rotate_qubits, _x_gate, _x_sum, apply_exp_x,
-                                 diagonal_values, evolve, rotate_to_basis)
+                                 _rotate_qubits, _rotate_x, _x_gate, _x_sum,
+                                 apply_exp_x, diagonal_values, evolve,
+                                 rotate_to_basis)
 from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz, _sr_update,
                          local_energy_table, run_sr_optimization)
 from spinlab.vqe import (HVAnsatz, ShotPlan, energy_and_gradient,
@@ -71,6 +79,13 @@ def _rotate_qubits_ref(amps, gates):
         view[:, 0] = top
 
 
+def _rotate_x_pairs(amps, gates):
+    """(qubit, X rotation) pairs in one ``_rotate_x`` call: unit 1 for a
+    vector or a flat stack of rows, m for a (2^n, m) block of columns."""
+    _rotate_x(amps, amps.size // amps.shape[0], [k for k, _ in gates],
+              [g[0] for _, g in gates])
+
+
 def _x_sum_ref(amps, n):
     out = np.zeros_like(amps)
     for k in range(n):
@@ -81,6 +96,22 @@ def _x_sum_ref(amps, n):
     return out
 
 
+def _x_sum_float_ref(amps, n):
+    """sum_k X_k in Python floats, in the compiled kernel's order: each part
+    of each entry starts at 0.0 and adds its partners for k ascending.  A
+    Python float add is one scalar IEEE add, so unlike numpy's reduction
+    kernels it keeps a nan's sign the same on every CPU feature level."""
+    parts = amps.view(np.float64).reshape(2 ** n, -1).tolist()
+    out = []
+    for i in range(2 ** n):
+        for p in range(len(parts[i])):
+            acc = 0.0
+            for k in range(n):
+                acc += parts[i ^ (1 << k)][p]
+            out.append(acc)
+    return np.array(out).view(amps.dtype)
+
+
 def _evolved_columns_ref(v_table, gamma, t, start):
     """The dense propagator as written before its eigh core was shared."""
     L = v_table.size.bit_length() - 1
@@ -88,6 +119,48 @@ def _evolved_columns_ref(v_table, gamma, t, start):
     vals, vecs = np.linalg.eigh(ham)
     phases = np.exp(-1j * vals * t)
     return vecs @ (phases[:, None] * vecs[start, :].T)
+
+
+def _chebyshev_columns_ref(v_table, gamma, t, start):
+    """The Chebyshev propagator as written when each step built H~ as a CSR
+    matrix: the diagonal, then the flips with k ascending, in each row."""
+    L = v_table.size.bit_length() - 1
+    dim = v_table.size
+    n = start.size
+    lo = v_table.min() - gamma * L
+    hi = v_table.max() + gamma * L
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    x0 = np.zeros((dim, n))
+    x0[start, np.arange(n)] = 1.0
+    phase = np.exp(-1j * c * t)
+    k = np.arange(int(r * t + 10.0 * np.cbrt(r * t)) + 64)
+    bessel = jv(k, r * t)
+    n_terms = np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1] + 1
+    if n_terms < 2:
+        return phase * x0
+    sign = np.array([1.0, -1.0, -1.0, 1.0])[k[:n_terms] % 4]
+    weights = 2.0 * sign * bessel[:n_terms]
+    weights[0] = bessel[0]
+    idx = np.arange(dim)
+    cols = np.concatenate([idx[:, None], idx[:, None] ^ (1 << np.arange(L))],
+                          axis=1)
+    data = np.empty((dim, L + 1))
+    data[:, 0] = (v_table - c) / r
+    data[:, 1:] = gamma / r
+    h = sparse.csr_matrix((data.ravel(), cols.ravel(),
+                           np.arange(0, dim * (L + 1) + 1, L + 1)),
+                          shape=(dim, dim))
+    two_h = 2.0 * h
+    prev, cur = x0, h @ x0
+    re = weights[0] * prev
+    im = weights[1] * cur
+    for j in range(2, n_terms):
+        nxt = two_h @ cur
+        nxt -= prev
+        acc = re if j % 2 == 0 else im
+        acc += weights[j] * nxt
+        prev, cur = cur, nxt
+    return phase * (re + 1j * im)
 
 
 def _sector_columns_ref(v_table, gamma, t, start):
@@ -907,7 +980,7 @@ def _gates():
             "x-0.37": _x_gate(-0.37), "x-pi/2": _x_gate(np.pi / 2),
             "hadamard": had, "y-rotation": _BASIS_ROT["Y"],
             "random": rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-            # symmetric but not an X rotation: it must keep the numpy form
+            # symmetric but not an X rotation: only the numpy form takes it
             "symmetric-complex": np.array([[0.6 + 0.3j, -0.2 + 0.7j],
                                            [-0.2 + 0.7j, 0.6 + 0.3j]])}
 
@@ -927,12 +1000,15 @@ def _blocks(n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("gate", list(_gates()))
 def test_rotation_kernel_matches_general_form_bitwise(gate, n):
+    """X rotations by the compiled ``_rotate_x``, any other gate by
+    ``_rotate_qubits``."""
     g = _gates()[gate]
+    rotate = _rotate_x_pairs if gate.startswith("x") else _rotate_qubits
     order = list(range(n)) + [n - 1, 0]
     for name, amps in _blocks(n).items():
         ref = amps.copy()
         _rotate_qubits_ref(ref, [(k, g) for k in order])
-        _rotate_qubits(amps, [(k, g) for k in order])
+        rotate(amps, [(k, g) for k in order])
         assert amps.tobytes() == ref.tobytes(), name
 
 
@@ -951,7 +1027,7 @@ def test_x_rotations_match_general_form_bitwise(n, m):
             amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             ref = amps.copy()
             _rotate_qubits_ref(ref, gates)
-            _rotate_qubits(amps, gates)
+            _rotate_x_pairs(amps, gates)
             assert amps.tobytes() == ref.tobytes(), shape
 
 
@@ -981,7 +1057,7 @@ def test_x_rotation_keeps_signed_zeros_and_non_finite_entries(gate):
         ref = amps.copy()
         with np.errstate(invalid="ignore"):  # numpy's 0 * inf
             _rotate_qubits_ref(ref, gates)
-        _rotate_qubits(amps, gates)
+        _rotate_x_pairs(amps, gates)
         got, want = amps.view(float), ref.view(float)
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
@@ -990,14 +1066,14 @@ def test_x_rotation_keeps_signed_zeros_and_non_finite_entries(gate):
 
 @pytest.mark.parametrize("n", (1, 5, 12))
 def test_x_sum_keeps_signed_zeros_and_non_finite_entries_bitwise(n):
+    """Exact bytes, a nan's sign included, against Python float sums."""
     rng = np.random.default_rng(80 + n)
     parts = rng.choice(SPECIAL, size=(2, 2 ** n), p=(0.2, 0.2, 0.02, 0.02,
                                                       0.02, 0.54))
     cplx = np.empty(2 ** n, dtype=complex)
     cplx.real, cplx.imag = parts
     for amps in (parts[0].copy(), cplx):
-        with np.errstate(invalid="ignore"):  # numpy's inf - inf
-            want = _x_sum_ref(amps, n)
+        want = _x_sum_float_ref(amps, n)
         assert _x_sum(amps, n).tobytes() == want.tobytes()
 
 
@@ -1013,6 +1089,43 @@ def test_eigh_propagators_match_reference_bitwise(L):
             want = _proposal_columns(model, ref, field)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes(), (evolve.__name__, field)
+
+
+def _chebyshev_models(L):
+    rng = np.random.default_rng(900 + L)
+    glass = spin_glass_instance(L, rng)
+    fields = ClassicalSpinModel(L, glass.couplings, rng.normal(size=L))
+    return {"glass": glass, "ferromagnet": ferromagnetic_chain(L),
+            "glass-with-fields": fields}
+
+
+@pytest.mark.parametrize("L", (9, 10, 11))
+def test_chebyshev_columns_match_csr_series(L):
+    """Only the sum order of each H~x moved, so the columns stay within a
+    few ulp of the unit-norm result."""
+    starts = (np.array([3]), np.array([0, 5, 2 ** L - 1, 2 ** (L - 1) + 3]))
+    for kind, model in _chebyshev_models(L).items():
+        v = energy_table(model)
+        for g in QuantumProposalConfig.for_model(model).gamma_range:
+            for start, t in itertools.product(starts, (2.0, 20.0)):
+                got = _chebyshev_columns(v, g, t, start)
+                want = _chebyshev_columns_ref(v, g, t, start)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 2e-14, (kind, g, t,
+                                                            start.size)
+
+
+@pytest.mark.parametrize("m", (1, 3))
+@pytest.mark.parametrize("n", (1, 5, 12))
+def test_x_sum_on_a_block_matches_each_column_bitwise(n, m):
+    rng = np.random.default_rng(90 + 10 * n + m)
+    real = rng.normal(size=(2 ** n, m))
+    for block in (real, real + 1j * rng.normal(size=(2 ** n, m))):
+        got = _x_sum(block, n)
+        assert got.shape == block.shape and got.dtype == block.dtype
+        for c in range(m):
+            want = _x_sum(block[:, c].copy(), n)
+            assert got[:, c].tobytes() == want.tobytes(), c
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -138,6 +138,8 @@ def test_rotation_entry_point_refuses_bad_gates_and_read_only_blocks(
     (np.zeros(8, dtype=np.int64), 3, "float64 or complex128"),
     (np.zeros(8), 4, "2\\^4 entries"),
     (np.zeros((4, 2)), 3, "2\\^3 entries"),
+    (np.zeros((3, 8)).T, 3, "C-contiguous"),
+    (np.zeros((8, 2, 2)), 3, "2\\^3 entries"),
 ])
 def test_x_sum_entry_point_refuses_a_bad_vector(monkeypatch, amps, n, match):
     monkeypatch.setattr(statevector, "library", _no_library)

@@ -13,13 +13,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from spinlab import qemcmc
+from spinlab import qemcmc, statevector
 from spinlab.qemcmc import (
     CHEBYSHEV_MIN_QUBITS,
     MAX_EXACT_QUBITS,
@@ -379,6 +380,19 @@ class TestProposeQuantum:
             want = evolve(basis_state(L, int(x)), h, t, "trotter", steps)
             assert np.max(np.abs(cols[:, c] - want.amplitudes)) <= 1e-12
 
+    def test_trotter_chain_calls_the_compiled_x_rotation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Trotter step took the numpy general form")
+
+        monkeypatch.setattr(statevector, "_rotate_qubits", refuse)
+        monkeypatch.setattr(qemcmc, "_rotate_qubits", refuse, raising=False)
+        m = spin_glass_instance(6, np.random.default_rng(14))
+        cfg = QuantumProposalConfig(gamma_range=(0.2, 0.6),
+                                    evolution="trotter", trotter_steps=4)
+        samples, _ = run_chain(m, cfg, 1.0, 5, np.random.default_rng(15),
+                               n_chains=3)
+        assert samples.shape == (3, 5)
+
     def test_exact_capacity_limit(self):
         L = 13
         m = ClassicalSpinModel(L, np.zeros((L, L)), np.zeros(L))
@@ -459,13 +473,35 @@ class TestChebyshevPropagator:
     @pytest.mark.parametrize("t", [2.0, 20.0])
     @pytest.mark.parametrize("end", [0, 1])
     def test_matches_dense_eigh(self, L, t, end):
-        m = spin_glass_instance(L, np.random.default_rng(40 + L))
-        g = QuantumProposalConfig.for_model(m).gamma_range[end]
-        v = energy_table(m)
+        # a glass, then the same glass with fields (V(x) != V(~x)), the
+        # case of a loaded instance with fields
+        rng = np.random.default_rng(40 + L)
+        m = spin_glass_instance(L, rng)
+        fielded = ClassicalSpinModel(L, m.couplings, rng.normal(size=L))
         start = np.array([0, 5, 2 ** L - 1, 2 ** (L - 1) + 3])
-        cheb = _chebyshev_columns(v, g, t, start)
-        dense = _evolved_columns(v, g, t, start)
-        assert np.max(np.abs(cheb - dense)) <= 1e-12
+        for model in (m, fielded):
+            g = QuantumProposalConfig.for_model(model).gamma_range[end]
+            v = energy_table(model)
+            cheb = _chebyshev_columns(v, g, t, start)
+            dense = _evolved_columns(v, g, t, start)
+            assert np.max(np.abs(cheb - dense)) <= 1e-12
+        assert not np.array_equal(v, v[::-1])
+
+    def test_chain_builds_no_sparse_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a quantum step built a CSR matrix")
+
+        for name in ("csr_matrix", "csr_array"):
+            monkeypatch.setattr(scipy.sparse, name, refuse)
+        calls = []
+        series = qemcmc._chebyshev_columns
+        monkeypatch.setattr(qemcmc, "_chebyshev_columns",
+                            lambda *args: calls.append(1) or series(*args))
+        m = spin_glass_instance(10, np.random.default_rng(46))
+        m = ClassicalSpinModel(10, m.couplings, np.full(10, 0.2))
+        run_chain(m, QuantumProposalConfig.for_model(m), 1.0, 3,
+                  np.random.default_rng(47), n_chains=2)
+        assert len(calls) == 3
 
     def test_column_matches_expm_multiply(self):
         m = spin_glass_instance(10, np.random.default_rng(43))

@@ -619,6 +619,31 @@ class TestEvolve:
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
         assert errs[2] < 1e-2
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_trotter_without_x_terms_is_the_diagonal_phase(self, steps):
+        # no X term leaves _rotate_x an empty (0, 2) gate list
+        rng = np.random.default_rng(34)
+        s = random_state(3, rng)
+        h = PauliSum.from_terms(3, [(-0.7, PauliString("ZZI")),
+                                    (0.4, PauliString("IIZ"))])
+        t = 1.3
+        want = s.amplitudes.copy()
+        dphase = np.exp(-1j * (t / steps) * diagonal_values(h))
+        for _ in range(steps):
+            want *= dphase
+        got = evolve(s, h, t, method="trotter", steps=steps).amplitudes
+        assert got.tobytes() == want.tobytes()
+
+    def test_trotter_calls_the_compiled_x_rotation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Trotter step took the numpy general form")
+
+        monkeypatch.setattr(statevector, "_rotate_qubits", refuse)
+        s = random_state(3, np.random.default_rng(35))
+        h = TFIMModel(L=3, J=0.9, Gamma=1.4).as_pauli_sum()
+        out = evolve(s, h, 0.8, method="trotter", steps=4)
+        assert abs(out.norm() - 1.0) < 1e-12
+
     def test_trotter_unitary(self):
         rng = np.random.default_rng(29)
         s = random_state(3, rng)
