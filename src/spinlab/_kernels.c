@@ -1,6 +1,6 @@
 /* spinlab's compiled kernels: the Metropolis accept-and-record loop of
-   spinlab.qemcmc._metropolis, and the transverse-field rotation and sum
-   sum_k X_k of spinlab.statevector.
+   spinlab.qemcmc._metropolis and its single-flip move draw, and the
+   transverse-field rotation and sum sum_k X_k of spinlab.statevector.
 
    spinlab._native builds this with -O2 -ffp-contract=off and without
    -ffast-math, so every sum and product rounds once, as numpy's do (and
@@ -15,6 +15,11 @@
    global step s = first_step + 1, ... with s - burn_in a positive multiple
    k of thinning, writes its state to records[c, k - 1].
 
+   With two or more chains the accept is a select, with no branch on the
+   (unpredictable) outcome, since the chains' steps overlap; one chain keeps
+   the branch, whose prediction lets the next step start before the
+   comparison resolves.  Both take the same moves, nan and -inf included.
+
    Returns the number of accepted moves, or -1 after writing the first
    proposal outside [0, dim) to *bad, before that proposal is read. */
 int64_t spinlab_metropolis(const double *table, int64_t dim, double scale,
@@ -24,18 +29,23 @@ int64_t spinlab_metropolis(const double *table, int64_t dim, double scale,
                            int64_t first_step, int64_t burn_in,
                            int64_t thinning, int64_t *bad)
 {
+    const int select = n_chains >= 2;
     int64_t accepted = 0;
     for (int64_t s = 0; s < n_steps; s++) {
         const int64_t *move = moves + s * n_chains;
         const double *lu = logu + s * n_chains;
         for (int64_t c = 0; c < n_chains; c++) {
-            int64_t i = idx[c];
-            int64_t p = flip ? (i ^ move[c]) : move[c];
+            const int64_t i = idx[c];
+            const int64_t p = flip ? (i ^ move[c]) : move[c];
             if (p < 0 || p >= dim) {
                 *bad = p;
                 return -1;
             }
-            if (lu[c] < scale * (table[p] - table[i])) {
+            if (select) {
+                const int64_t take = lu[c] < scale * (table[p] - table[i]);
+                idx[c] = take ? p : i;
+                accepted += take;
+            } else if (lu[c] < scale * (table[p] - table[i])) {
                 idx[c] = p;
                 accepted++;
             }
@@ -48,6 +58,44 @@ int64_t spinlab_metropolis(const double *table, int64_t dim, double scale,
         }
     }
     return accepted;
+}
+
+/* The bitgen_t of numpy's random C API (numpy/random/bitgen.h), the
+   struct behind Generator.bit_generator.ctypes.bit_generator. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} spinlab_bitgen;
+
+/* out[0 .. count) = 1 << Generator.integers(0, n_sites) as numpy draws it
+   for int64 output: Lemire's bounded draw on 32-bit words from the
+   generator's own next_uint32 (so a buffered half-word of PCG64 is used as
+   numpy uses it), rejecting a word whose low product half falls below
+   (UINT32_MAX - (n_sites - 1)) % n_sites.  One site draws nothing.  The
+   caller holds the bit generator's lock and keeps 1 <= n_sites <= 63. */
+void spinlab_flip_masks(const spinlab_bitgen *bitgen, int64_t n_sites,
+                        int64_t *out, int64_t count)
+{
+    const uint32_t excl = (uint32_t)n_sites;
+    for (int64_t j = 0; j < count; j++) {
+        uint64_t site = 0;
+        if (excl > 1) {
+            uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * excl;
+            uint32_t leftover = (uint32_t)m;
+            if (leftover < excl) {
+                const uint32_t threshold = (UINT32_MAX - (excl - 1)) % excl;
+                while (leftover < threshold) {
+                    m = (uint64_t)bitgen->next_uint32(bitgen->state) * excl;
+                    leftover = (uint32_t)m;
+                }
+            }
+            site = m >> 32;
+        }
+        out[j] = (int64_t)((uint64_t)1 << site);
+    }
 }
 
 /* In place on n complex entries (interleaved re, im), apply the symmetric

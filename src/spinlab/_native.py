@@ -1,17 +1,17 @@
 """Build and load spinlab's compiled kernels, _kernels.c, on first use.
 
-The library holds the Metropolis loop of qemcmc and the transverse-field
-rotation and X sum of statevector; each caller checks its arrays before it
-passes a pointer.  spinlab runs from a source checkout with no install
-step, so the library is compiled lazily, by the first kernel call (a chain
-or an X layer, say) and never at import, into this package's __pycache__
-(or, where that is not writable, into a temporary directory for this
-process alone).  The file name carries the sha256 of the source and of the
-compile command, so an edited source or changed flags never load a stale
-library.  Each build writes a temporary file and renames it into place, so
-processes that build at the same moment all end up with a whole library.
-There is no fallback: without a C compiler the first call raises a
-RuntimeError that names the command.
+The library holds the Metropolis loop of qemcmc and its single-flip move
+draw, and the transverse-field rotation and X sum of statevector; each
+caller checks its arrays before it passes a pointer.  spinlab runs from a
+source checkout with no install step, so the library is compiled lazily,
+by the first kernel call (a chain or an X layer, say) and never at import,
+into this package's __pycache__ (or, where that is not writable, into a
+temporary directory for this process alone).  The file name carries the
+sha256 of the source and of the compile command, so an edited source or
+changed flags never load a stale library.  Each build writes a temporary
+file and renames it into place, so processes that build at the same moment
+all end up with a whole library.  There is no fallback: without a C
+compiler the first call raises a RuntimeError that names the command.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.spinlab_metropolis.argtypes = (
         ptr, i64, ctypes.c_double, ptr, ptr, i64, i64, ctypes.c_int32, ptr,
         ptr, i64, i64, i64, i64, ctypes.POINTER(i64))
+    lib.spinlab_flip_masks.restype = None
+    lib.spinlab_flip_masks.argtypes = (ptr, i64, ptr, i64)
     lib.spinlab_rotate_x.restype = None
     lib.spinlab_rotate_x.argtypes = (ptr, i64, i64, ptr, ptr, i64)
     lib.spinlab_x_sum.restype = None

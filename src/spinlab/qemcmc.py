@@ -12,8 +12,10 @@ accepts a move i -> p when log u < scale * (t[p] - t[i]) on a precomputed
 table t (the energies V with scale -beta in run_chain, log |psi|^2 with
 scale 1 in VMC) and records the state after step burn_in + k * thinning
 (run_chain: burn_in 0, thinning record_every).  Its per-step loop is the C
-function of _kernels.c, built on the first call (see _native); Python
-draws each block of moves and log u, so the random stream is numpy's.
+function of _kernels.c, built on the first call (see _native).  Each block
+of moves and log u is drawn before the loop runs it, in numpy's stream:
+single-flip masks by the compiled twin of 1 << rng.integers(0, L)
+(_flip_draw), everything else by numpy itself.
 
 The exact proposal evolves only the chains' start columns of exp(-iHt), by
 one of three propagators that agree to about 1e-13:
@@ -482,10 +484,12 @@ def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
     kernel = library().spinlab_metropolis
     bad = ctypes.c_int64()
     accepted = 0
+    u = np.empty((min(block, steps), n_chains))
     for done in range(0, steps, block):
         n = min(block, steps - done)
         moves = np.asarray(draw(n, idx))
-        logu = np.log(rng.random(size=(n, n_chains)))
+        logu = rng.random(out=u[:n])
+        np.log(logu, out=logu)
         if (moves.shape != (n, n_chains)
                 or not np.issubdtype(moves.dtype, np.integer)):
             raise IndexError(f"draw must return {n} x {n_chains} integer "
@@ -500,6 +504,28 @@ def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
                              f"the table's basis indices [0, {dim})")
         accepted += taken
     return records, accepted
+
+
+def _flip_draw(rng: np.random.Generator, L: int, n_chains: int, block: int):
+    """A _metropolis draw of single-flip XOR masks for n <= block rows.
+
+    draw(n, idx) returns the next n rows of 1 << rng.integers(0, L), bitwise
+    and stream-wise what numpy gives for size=(n, n_chains), as written by
+    the compiled spinlab_flip_masks into one (block, n_chains) buffer that
+    each call reuses.
+    """
+    buf = np.empty((block, n_chains), dtype=np.int64)
+    out = buf.ctypes.data
+    bitgen = rng.bit_generator
+    state = bitgen.ctypes.bit_generator
+    masks = library().spinlab_flip_masks
+
+    def draw(n, idx):
+        with bitgen.lock:
+            masks(state, L, out, n * n_chains)
+        return buf[:n]
+
+    return draw
 
 
 def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
@@ -527,17 +553,17 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
         raise ValueError(f"record_every must be at most steps = {steps}, "
                          f"got {record_every!r}")
     flip = proposal == "single-flip"
-
-    def draw(n, idx):
-        if quantum:
-            return _quantum_step(v, proposal, idx, rng)[None]
-        if flip:
-            return 1 << rng.integers(0, L, size=(n, n_chains))
-        return rng.integers(0, 2 ** L, size=(n, n_chains))
+    block = 1 if quantum else 8192
+    if flip:
+        draw = _flip_draw(rng, L, n_chains, min(block, steps))
+    else:
+        def draw(n, idx):
+            if quantum:
+                return _quantum_step(v, proposal, idx, rng)[None]
+            return rng.integers(0, 2 ** L, size=(n, n_chains))
 
     records, accepted = _metropolis(v, -beta, initial, n_chains, steps, 0,
-                                    record_every, rng, draw,
-                                    1 if quantum else 8192, flip=flip)
+                                    record_every, rng, draw, block, flip=flip)
     energies = v[records]
     tau = autocorrelation_time_pooled(energies)
     diag = ChainDiagnostics(acceptance_rate=accepted / (steps * n_chains),

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qemcmc import _check_counts, _metropolis
+from .qemcmc import _check_counts, _flip_draw, _metropolis
 from .statevector import (CapacityError, SpinConfiguration, TFIMModel,
                           _x_sum, _zz_levels)
 from .vqe import EnergyEstimate, _ridge_solve
@@ -191,12 +191,10 @@ def run_metropolis_chains(a, n_chains: int, n_records: int, burn_in: int,
         lw = 2.0 * np.log(np.abs(np.asarray(a.amplitude_table(),
                                             dtype=complex)))
 
-    def draw(n, idx):
-        return 1 << rng.integers(0, a.L, size=(n, n_chains))
-
-    return _metropolis(lw, 1.0, initial, n_chains,
-                       burn_in + n_records * thinning, burn_in, thinning, rng,
-                       draw, 4096, flip=True)[0]
+    steps = burn_in + n_records * thinning
+    draw = _flip_draw(rng, a.L, n_chains, min(4096, steps))
+    return _metropolis(lw, 1.0, initial, n_chains, steps, burn_in, thinning,
+                       rng, draw, 4096, flip=True)[0]
 
 
 def default_burn_in(L: int) -> int:

@@ -10,6 +10,10 @@ this file as a script to print the digests of the code as it stands.
 
 The kernel's per-step loop is compiled C; ``_reference_metropolis`` below is
 the numpy loop it replaced, and the compiled loop must match it bit for bit.
+Single-flip masks are drawn in C too (``_flip_draw``), and must match
+``1 << rng.integers(0, L)`` value for value and leave the generator where
+numpy leaves it.  numpy does not promise that ``integers`` keeps its stream
+across versions (NEP 19), so a numpy that changes it fails here.
 """
 
 import hashlib
@@ -21,8 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
-                            _metropolis, ferromagnetic_chain, run_chain,
-                            spin_glass_instance)
+                            _flip_draw, _metropolis, ferromagnetic_chain,
+                            run_chain, spin_glass_instance)
 from spinlab.statevector import apply_exp_x, apply_exp_zz, sample_indices
 from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz,
                          run_metropolis_chains)
@@ -313,7 +317,7 @@ def _reference_metropolis(table, scale, initial, n_chains, steps, burn_in,
 
 
 def _run_kernel(kernel, table, scale, start, n_chains, steps, burn_in,
-                thinning, block, flip, seed):
+                thinning, block, flip, seed, compiled_draw=False):
     rng = np.random.default_rng(seed)
     L = table.size.bit_length() - 1
 
@@ -321,6 +325,9 @@ def _run_kernel(kernel, table, scale, start, n_chains, steps, burn_in,
         if flip:
             return 1 << rng.integers(0, L, size=(n, n_chains))
         return rng.integers(0, table.size, size=(n, n_chains))
+
+    if compiled_draw:
+        draw = _flip_draw(rng, L, n_chains, min(block, steps))
 
     records, accepted = kernel(table, scale, start, n_chains, steps, burn_in,
                                thinning, rng, draw, block, flip)
@@ -333,18 +340,32 @@ def _run_kernel(kernel, table, scale, start, n_chains, steps, burn_in,
        scale=st.sampled_from([1.0, -1.3, 0.7]),
        specials=st.sampled_from(["finite", "-inf", "nan", "both"]),
        block=st.sampled_from([1, 3, 4096]),
-       n_chains=st.sampled_from([1, 16, 64, 100]),
+       n_chains=st.sampled_from([1, 2, 4, 8, 16, 64, 100]),
        burn_in=st.integers(0, 40), thinning=st.integers(1, 17),
        extra=st.integers(0, 200), start=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
+       seed=st.integers(0, 2 ** 32 - 1), compiled_draw=st.booleans())
 @example(L=5, flip=True, scale=1.0, specials="both", block=4096,
          n_chains=16, burn_in=7, thinning=13, extra=4200, start=False,
-         seed=3)
+         seed=3, compiled_draw=False)
 @example(L=4, flip=False, scale=-1.3, specials="-inf", block=4096,
-         n_chains=100, burn_in=0, thinning=7, extra=4100, start=True, seed=4)
+         n_chains=100, burn_in=0, thinning=7, extra=4100, start=True, seed=4,
+         compiled_draw=False)
+@example(L=6, flip=True, scale=-1.3, specials="both", block=4096,
+         n_chains=1, burn_in=5, thinning=11, extra=4200, start=False,
+         seed=5, compiled_draw=True)
+@example(L=5, flip=True, scale=0.7, specials="nan", block=3,
+         n_chains=2, burn_in=0, thinning=1, extra=200, start=True, seed=6,
+         compiled_draw=True)
+@example(L=3, flip=True, scale=1.0, specials="-inf", block=4096,
+         n_chains=8, burn_in=40, thinning=17, extra=4100, start=True,
+         seed=7, compiled_draw=True)
 def test_compiled_loop_matches_numpy_reference(L, flip, scale, specials,
                                                block, n_chains, burn_in,
-                                               thinning, extra, start, seed):
+                                               thinning, extra, start, seed,
+                                               compiled_draw):
+    """One chain takes the branch in the compiled accept, two or more the
+    select; with ``compiled_draw`` the compiled side draws its single-flip
+    masks by ``_flip_draw`` while the reference keeps numpy's draws."""
     gen = np.random.default_rng(seed)
     table = gen.normal(size=2 ** L)
     # index 0 stays finite, so every start draw can end
@@ -356,7 +377,8 @@ def test_compiled_loop_matches_numpy_reference(L, flip, scale, specials,
     steps = burn_in + extra
     args = (table, scale, initial, n_chains, steps, burn_in, thinning, block,
             flip, seed)
-    records, accepted, after = _run_kernel(_metropolis, *args)
+    records, accepted, after = _run_kernel(
+        _metropolis, *args, compiled_draw=compiled_draw and flip)
     # -inf - -inf is nan in both loops; only numpy warns about it
     with np.errstate(invalid="ignore"):
         ref_records, ref_accepted, ref_after = _run_kernel(
@@ -364,6 +386,96 @@ def test_compiled_loop_matches_numpy_reference(L, flip, scale, specials,
     np.testing.assert_array_equal(records, ref_records)
     assert accepted == ref_accepted
     assert after == ref_after
+
+
+_BIT_GENERATORS = {"pcg64": np.random.PCG64, "pcg64dxsm": np.random.PCG64DXSM,
+                   "mt19937": np.random.MT19937, "philox": np.random.Philox,
+                   "sfc64": np.random.SFC64}
+
+
+@settings(max_examples=120, deadline=None)
+@given(L=st.integers(1, 20), n_chains=st.sampled_from([1, 2, 3, 7, 64]),
+       steps=st.integers(1, 300) | st.sampled_from(
+           [4095, 4096, 4097, 8191, 8192, 8193]),
+       block=st.sampled_from([1, 5, 4096, 8192]),
+       half_word=st.booleans(),
+       bit_generator=st.sampled_from(sorted(_BIT_GENERATORS)),
+       seed=st.integers(0, 2 ** 64 - 1))
+@example(L=10, n_chains=1, steps=4097, block=4096, half_word=True,
+         bit_generator="pcg64", seed=1)
+@example(L=7, n_chains=3, steps=8193, block=8192, half_word=True,
+         bit_generator="pcg64", seed=2)
+@example(L=20, n_chains=64, steps=4096, block=4096, half_word=False,
+         bit_generator="pcg64", seed=3)
+@example(L=1, n_chains=3, steps=9, block=4, half_word=True,
+         bit_generator="pcg64", seed=4)
+def test_flip_draw_is_numpys_integers_stream(L, n_chains, steps, block,
+                                             half_word, bit_generator, seed):
+    """The compiled masks equal 1 << rng.integers(0, L, size=(n, n_chains))
+    block by block, and leave the bit generator's state (its buffered 32-bit
+    half-word included) and the next rng.random() as numpy leaves them."""
+    rngs = [np.random.Generator(_BIT_GENERATORS[bit_generator](seed))
+            for _ in range(2)]
+    if half_word:
+        # an odd number of 32-bit draws leaves half a 64-bit word buffered
+        for rng in rngs:
+            rng.integers(0, 10, size=3)
+    compiled, numpy_rng = rngs
+    draw = _flip_draw(compiled, L, n_chains, min(block, steps))
+    for done in range(0, steps, block):
+        n = min(block, steps - done)
+        expected = 1 << numpy_rng.integers(0, L, size=(n, n_chains))
+        np.testing.assert_array_equal(draw(n, None), expected)
+    # a nested dict (an array in MT19937's); PCG64's holds has_uint32 and
+    # uinteger, the buffered half-word
+    np.testing.assert_equal(compiled.bit_generator.state,
+                            numpy_rng.bit_generator.state)
+    assert compiled.random() == numpy_rng.random()
+
+
+# PCG64 steps its 128-bit state s to s * MULT + inc (MULT is PCG's default
+# multiplier) and outputs the XSL-RR of the new state: for a new state below
+# 2^64 that is the state itself
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_about_to_output(word: int, buffered: bool) -> np.random.Generator:
+    """A PCG64 generator whose next 64-bit output is word, after a buffered
+    zero half-word if ``buffered``."""
+    s = 1 - word % 2  # inc must be odd
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": int(buffered), "uinteger": 0,
+        "state": {"state": s, "inc": (word - s * _PCG64_MULT) % 2 ** 128}}
+    return np.random.Generator(bit_generator)
+
+
+def _rejection_cases():
+    # a word w is rejected when (w * L) mod 2^32 < 2^32 mod L; for odd L a
+    # word with any low half exists, here just below and at the threshold
+    for L in (3, 7, 13, 19):
+        threshold = 2 ** 32 % L
+        for low in (0, threshold - 1, threshold):
+            yield L, low * pow(L, -1, 2 ** 32) % 2 ** 32
+    yield 10, 0
+    yield 20, 0
+
+
+@pytest.mark.parametrize("L,word", list(_rejection_cases()))
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+def test_flip_draw_rejects_words_as_numpy_does(L, word, buffered):
+    """Lemire's rejection, which random seeds reach about once in 2^32 / L
+    words, on crafted words: the output's high half is 0, a rejected word
+    too, so each case rejects one to three words."""
+    assert _pcg64_about_to_output(word, False).bit_generator.random_raw() \
+        == word
+    compiled = _pcg64_about_to_output(word, buffered)
+    numpy_rng = _pcg64_about_to_output(word, buffered)
+    masks = _flip_draw(compiled, L, 3, 4)(4, None)
+    np.testing.assert_array_equal(
+        masks, 1 << numpy_rng.integers(0, L, size=(4, 3)))
+    np.testing.assert_equal(compiled.bit_generator.state,
+                            numpy_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("flip,move,proposal", [

@@ -147,6 +147,44 @@ def test_x_sum_entry_point_refuses_a_bad_vector(monkeypatch, amps, n, match):
         statevector._x_sum(amps, n)
 
 
+_C_TYPES = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32,
+            "double": ctypes.c_double, "void": None}
+
+
+def _kernel_signatures():
+    """(name, return type, parameter types) of each spinlab_* function
+    defined in _kernels.c."""
+    text = re.sub(r"/\*.*?\*/", "", _native.SOURCE.read_text(), flags=re.S)
+    for ret, name, params in re.findall(
+            r"^(\w+)\s+(spinlab_\w+)\s*\(([^)]*)\)\s*\{", text, re.M):
+        params = [" ".join(p.split()) for p in params.split(",")]
+        yield name, ret, [] if params == ["void"] else params
+
+
+def _is_pointer(argtype):
+    return argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer)
+
+
+def test_every_kernel_has_its_ctypes_signature_declared():
+    # undeclared, ctypes passes a Python int as a C int: a 64-bit pointer or
+    # count would be cut to 32 bits
+    lib = _native.library()
+    signatures = list(_kernel_signatures())
+    assert {name for name, _, _ in signatures} >= {
+        "spinlab_metropolis", "spinlab_flip_masks", "spinlab_rotate_x",
+        "spinlab_x_sum"}
+    for name, ret, params in signatures:
+        fn = getattr(lib, name)
+        assert fn.restype is _C_TYPES[ret], name
+        assert fn.argtypes is not None, name
+        assert len(fn.argtypes) == len(params), name
+        for param, argtype in zip(params, fn.argtypes):
+            if "*" in param:
+                assert _is_pointer(argtype), (name, param)
+            else:
+                assert argtype is _C_TYPES[param.split()[-2]], (name, param)
+
+
 def test_source_or_flag_edit_builds_a_new_library(tmp_path, monkeypatch):
     source = _native.SOURCE.read_bytes()
     plain = _native.build(source, tmp_path)
