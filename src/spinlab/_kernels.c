@@ -15,10 +15,9 @@
    global step s = first_step + 1, ... with s - burn_in a positive multiple
    k of thinning, writes its state to records[c, k - 1].
 
-   With two or more chains the accept is a select, with no branch on the
-   (unpredictable) outcome, since the chains' steps overlap; one chain keeps
-   the branch, whose prediction lets the next step start before the
-   comparison resolves.  Both take the same moves, nan and -inf included.
+   The accept is a select, with no branch on its (unpredictable) outcome,
+   so the chains' steps overlap; a comparison with nan is false, so it
+   rejects, as numpy's < does.
 
    Returns the number of accepted moves, or -1 after writing the first
    proposal outside [0, dim) to *bad, before that proposal is read. */
@@ -29,7 +28,6 @@ int64_t spinlab_metropolis(const double *table, int64_t dim, double scale,
                            int64_t first_step, int64_t burn_in,
                            int64_t thinning, int64_t *bad)
 {
-    const int select = n_chains >= 2;
     int64_t accepted = 0;
     for (int64_t s = 0; s < n_steps; s++) {
         const int64_t *move = moves + s * n_chains;
@@ -41,14 +39,9 @@ int64_t spinlab_metropolis(const double *table, int64_t dim, double scale,
                 *bad = p;
                 return -1;
             }
-            if (select) {
-                const int64_t take = lu[c] < scale * (table[p] - table[i]);
-                idx[c] = take ? p : i;
-                accepted += take;
-            } else if (lu[c] < scale * (table[p] - table[i])) {
-                idx[c] = p;
-                accepted++;
-            }
+            const int64_t take = lu[c] < scale * (table[p] - table[i]);
+            idx[c] = take ? p : i;
+            accepted += take;
         }
         int64_t past = first_step + s + 1 - burn_in;
         if (past > 0 && past % thinning == 0 && past / thinning <= n_records) {

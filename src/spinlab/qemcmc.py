@@ -506,23 +506,28 @@ def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
     return records, accepted
 
 
-def _flip_draw(rng: np.random.Generator, L: int, n_chains: int, block: int):
-    """A _metropolis draw of single-flip XOR masks for n <= block rows.
+def _flip_draw(rng: np.random.Generator, L: int, n_chains: int):
+    """A _metropolis draw of single-flip XOR masks on 1 <= L <= 63 sites.
 
     draw(n, idx) returns the next n rows of 1 << rng.integers(0, L), bitwise
     and stream-wise what numpy gives for size=(n, n_chains), as written by
-    the compiled spinlab_flip_masks into one (block, n_chains) buffer that
-    each call reuses.
+    the compiled spinlab_flip_masks into one buffer that each call reuses,
+    sized by the largest n asked for so far.
     """
-    buf = np.empty((block, n_chains), dtype=np.int64)
-    out = buf.ctypes.data
+    if not 1 <= L <= 63:
+        raise ValueError(f"single-flip masks need 1 <= L <= 63 sites, "
+                         f"got L = {L!r}")
+    buf = np.empty((0, n_chains), dtype=np.int64)
     bitgen = rng.bit_generator
     state = bitgen.ctypes.bit_generator
     masks = library().spinlab_flip_masks
 
     def draw(n, idx):
+        nonlocal buf
+        if n > buf.shape[0]:
+            buf = np.empty((n, n_chains), dtype=np.int64)
         with bitgen.lock:
-            masks(state, L, out, n * n_chains)
+            masks(state, L, buf.ctypes.data, n * n_chains)
         return buf[:n]
 
     return draw
@@ -553,9 +558,8 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
         raise ValueError(f"record_every must be at most steps = {steps}, "
                          f"got {record_every!r}")
     flip = proposal == "single-flip"
-    block = 1 if quantum else 8192
     if flip:
-        draw = _flip_draw(rng, L, n_chains, min(block, steps))
+        draw = _flip_draw(rng, L, n_chains)
     else:
         def draw(n, idx):
             if quantum:
@@ -563,7 +567,8 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
             return rng.integers(0, 2 ** L, size=(n, n_chains))
 
     records, accepted = _metropolis(v, -beta, initial, n_chains, steps, 0,
-                                    record_every, rng, draw, block, flip=flip)
+                                    record_every, rng, draw,
+                                    1 if quantum else 8192, flip=flip)
     energies = v[records]
     tau = autocorrelation_time_pooled(energies)
     diag = ChainDiagnostics(acceptance_rate=accepted / (steps * n_chains),

@@ -170,15 +170,6 @@ def _native_array(name: str, a: np.ndarray, dtypes: tuple[np.dtype, ...]
         raise ValueError(f"{name} must be C-contiguous")
 
 
-@lru_cache(maxsize=16)
-def _qubit_array(qubits: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """qubits as a read-only int64 array and its address, cached: every X
-    layer and Trotter step of a run rotates the same qubits."""
-    array = np.array(qubits, dtype=np.int64)
-    array.flags.writeable = False
-    return array, array.ctypes.data
-
-
 def _rotate_x(amps: np.ndarray, unit: int, qubits: Sequence[int],
               gates: np.ndarray) -> None:
     """[[g00, g01], [g01, g00]] with gates[i] = (g00, g01) on qubit
@@ -192,7 +183,6 @@ def _rotate_x(amps: np.ndarray, unit: int, qubits: Sequence[int],
     if not amps.flags.writeable:
         raise ValueError("amps must be writable")
     gates = np.ascontiguousarray(gates, dtype=_C128)
-    qubits = tuple(qubits)
     if gates.shape != (len(qubits), 2):
         raise ValueError(f"need one (g00, g01) row per qubit, got "
                          f"{len(qubits)} qubits and gates of shape "
@@ -201,9 +191,10 @@ def _rotate_x(amps: np.ndarray, unit: int, qubits: Sequence[int],
                         or amps.size % (unit << (max(qubits) + 1))):
         raise ValueError(f"{amps.size} entries at unit {unit} do not split "
                          f"into pairs on qubits {list(qubits)}")
-    array, address = _qubit_array(qubits)
-    library().spinlab_rotate_x(amps.ctypes.data, amps.size, unit, address,
-                               gates.ctypes.data, array.size)
+    qubits = np.array(qubits, dtype=np.int64)
+    library().spinlab_rotate_x(amps.ctypes.data, amps.size, unit,
+                               qubits.ctypes.data, gates.ctypes.data,
+                               qubits.size)
 
 
 def _rotate_qubits(amps: np.ndarray,
@@ -275,10 +266,8 @@ def _hva_layer(block: np.ndarray, model: TFIMModel, slot: int,
         vals, inv = _zz_levels(model.L, model.periodic)
         block *= np.exp(1j * theta * (-model.J) * vals)[inv]
     else:
-        a = theta * model.Gamma
-        rows = np.empty((model.L, 2), dtype=_C128)
-        rows[:] = np.cos(a), -1j * np.sin(a)  # _x_gate(a)[0] on every qubit
-        _rotate_x(block, 1, range(model.L), rows)
+        row = _x_gate(theta * model.Gamma)[:1]
+        _rotate_x(block, 1, range(model.L), row.repeat(model.L, axis=0))
 
 
 def _layer(s: StateVector, model: TFIMModel, slot: int,

@@ -191,10 +191,9 @@ def run_metropolis_chains(a, n_chains: int, n_records: int, burn_in: int,
         lw = 2.0 * np.log(np.abs(np.asarray(a.amplitude_table(),
                                             dtype=complex)))
 
-    steps = burn_in + n_records * thinning
-    draw = _flip_draw(rng, a.L, n_chains, min(4096, steps))
-    return _metropolis(lw, 1.0, initial, n_chains, steps, burn_in, thinning,
-                       rng, draw, 4096, flip=True)[0]
+    return _metropolis(lw, 1.0, initial, n_chains,
+                       burn_in + n_records * thinning, burn_in, thinning, rng,
+                       _flip_draw(rng, a.L, n_chains), 4096, flip=True)[0]
 
 
 def default_burn_in(L: int) -> int:

@@ -327,7 +327,7 @@ def _run_kernel(kernel, table, scale, start, n_chains, steps, burn_in,
         return rng.integers(0, table.size, size=(n, n_chains))
 
     if compiled_draw:
-        draw = _flip_draw(rng, L, n_chains, min(block, steps))
+        draw = _flip_draw(rng, L, n_chains)
 
     records, accepted = kernel(table, scale, start, n_chains, steps, burn_in,
                                thinning, rng, draw, block, flip)
@@ -363,9 +363,8 @@ def test_compiled_loop_matches_numpy_reference(L, flip, scale, specials,
                                                block, n_chains, burn_in,
                                                thinning, extra, start, seed,
                                                compiled_draw):
-    """One chain takes the branch in the compiled accept, two or more the
-    select; with ``compiled_draw`` the compiled side draws its single-flip
-    masks by ``_flip_draw`` while the reference keeps numpy's draws."""
+    """With ``compiled_draw`` the compiled side draws its single-flip masks
+    by ``_flip_draw`` while the reference keeps numpy's draws."""
     gen = np.random.default_rng(seed)
     table = gen.normal(size=2 ** L)
     # index 0 stays finite, so every start draw can end
@@ -421,7 +420,7 @@ def test_flip_draw_is_numpys_integers_stream(L, n_chains, steps, block,
         for rng in rngs:
             rng.integers(0, 10, size=3)
     compiled, numpy_rng = rngs
-    draw = _flip_draw(compiled, L, n_chains, min(block, steps))
+    draw = _flip_draw(compiled, L, n_chains)
     for done in range(0, steps, block):
         n = min(block, steps - done)
         expected = 1 << numpy_rng.integers(0, L, size=(n, n_chains))
@@ -431,6 +430,24 @@ def test_flip_draw_is_numpys_integers_stream(L, n_chains, steps, block,
     np.testing.assert_equal(compiled.bit_generator.state,
                             numpy_rng.bit_generator.state)
     assert compiled.random() == numpy_rng.random()
+
+
+@pytest.mark.parametrize("sizes", [(4, 5), (4096, 4097), (3, 9, 1, 9, 10)])
+def test_flip_draw_regrows_its_buffer_for_a_larger_block(sizes):
+    """A request for more rows than any before gets a buffer of its own
+    size: every block has n full rows of numpy's masks."""
+    compiled, numpy_rng = (np.random.default_rng(8) for _ in range(2))
+    draw = _flip_draw(compiled, 11, 3)
+    for n in sizes:
+        np.testing.assert_array_equal(
+            draw(n, None), 1 << numpy_rng.integers(0, 11, size=(n, 3)))
+    assert compiled.random() == numpy_rng.random()
+
+
+@pytest.mark.parametrize("L", [0, -1, 64, 100])
+def test_flip_draw_refuses_a_site_count_it_cannot_shift(L):
+    with pytest.raises(ValueError, match="1 <= L <= 63"):
+        _flip_draw(np.random.default_rng(0), L, 2)
 
 
 # PCG64 steps its 128-bit state s to s * MULT + inc (MULT is PCG's default
@@ -471,7 +488,7 @@ def test_flip_draw_rejects_words_as_numpy_does(L, word, buffered):
         == word
     compiled = _pcg64_about_to_output(word, buffered)
     numpy_rng = _pcg64_about_to_output(word, buffered)
-    masks = _flip_draw(compiled, L, 3, 4)(4, None)
+    masks = _flip_draw(compiled, L, 3)(4, None)
     np.testing.assert_array_equal(
         masks, 1 << numpy_rng.integers(0, L, size=(4, 3)))
     np.testing.assert_equal(compiled.bit_generator.state,
