@@ -1,6 +1,7 @@
 /* spinlab's compiled kernels: the Metropolis accept-and-record loop of
    spinlab.qemcmc._metropolis and its single-flip move draw, and the
-   transverse-field rotation and sum sum_k X_k of spinlab.statevector.
+   single-qubit gate layer and transverse-field sum sum_k X_k of
+   spinlab.statevector.
 
    spinlab._native builds this with -O2 -ffp-contract=off and without
    -ffast-math, so every sum and product rounds once, as numpy's do (and
@@ -91,37 +92,36 @@ void spinlab_flip_masks(const spinlab_bitgen *bitgen, int64_t n_sites,
     }
 }
 
-/* In place on n complex entries (interleaved re, im), apply the symmetric
-   gates [[g00, g01], [g01, g00]] in order, gate g on qubit qubits[g] with
-   gates[4g .. 4g+3] = re g00, im g00, re g01, im g01.  A qubit step moves
-   the entry index by unit << qubit: unit is 1 for a vector or a flat stack
-   of rows, m for a (2^L, m) block of columns.
+/* In place on n complex entries (interleaved re, im), apply the 2x2 gates
+   in order, gate g on qubit qubits[g] with gates[8g .. 8g+7] its row-major
+   entries g00, g01, g10, g11, each re then im.  A qubit step moves the
+   entry index by unit << qubit: unit is 1 for a vector or a flat stack of
+   rows, m for a (2^L, m) block of columns.
 
-   Each entry v with partner w becomes (g00 v) + (g01 w), each product the
-   full (ar br - ai bi, ar bi + ai br).  For an X rotation, whose entries
-   each have one zero part, that rounds as numpy's product does whether
-   numpy fuses it into a multiply-add or not (short of a nan's sign, or the
-   sign of a zero that a subnormal product underflows to). */
-void spinlab_rotate_x(double *amps, int64_t n, int64_t unit,
-                      const int64_t *qubits, const double *gates,
-                      int64_t n_gates)
+   Each entry v with partner w becomes (g00 v) + (g01 w) and w becomes
+   (g10 v) + (g11 w), numpy's operand order, each product the full
+   (ar br - ai bi, ar bi + ai br) unfused.  For a gate whose every entry
+   has a zero real or imaginary part (an X rotation, the Hadamard, the
+   Y-basis map) that rounds as numpy's product does whether numpy fuses it
+   into a multiply-add or not (short of a nan's sign, or the sign of a zero
+   that a subnormal product underflows to). */
+void spinlab_rotate(double *amps, int64_t n, int64_t unit,
+                    const int64_t *qubits, const double *gates,
+                    int64_t n_gates)
 {
     for (int64_t g = 0; g < n_gates; g++) {
-        const double ar = gates[4 * g], ai = gates[4 * g + 1];
-        const double br = gates[4 * g + 2], bi = gates[4 * g + 3];
+        const double *m = gates + 8 * g;
+        const double ar = m[0], ai = m[1], br = m[2], bi = m[3];
+        const double cr = m[4], ci = m[5], dr = m[6], di = m[7];
         const int64_t step = unit << qubits[g];
         for (int64_t base = 0; base < n; base += 2 * step) {
             for (int64_t j = base; j < base + step; j++) {
                 double *v = amps + 2 * j, *w = amps + 2 * (j + step);
                 const double vr = v[0], vi = v[1], wr = w[0], wi = w[1];
-                const double bwr = br * wr - bi * wi, bwi = br * wi + bi * wr;
-                const double bvr = br * vr - bi * vi, bvi = br * vi + bi * vr;
-                const double avr = ar * vr - ai * vi, avi = ar * vi + ai * vr;
-                const double awr = ar * wr - ai * wi, awi = ar * wi + ai * wr;
-                v[0] = avr + bwr;
-                v[1] = avi + bwi;
-                w[0] = awr + bvr;
-                w[1] = awi + bvi;
+                v[0] = (ar * vr - ai * vi) + (br * wr - bi * wi);
+                v[1] = (ar * vi + ai * vr) + (br * wi + bi * wr);
+                w[0] = (cr * vr - ci * vi) + (dr * wr - di * wi);
+                w[1] = (cr * vi + ci * vr) + (dr * wi + di * wr);
             }
         }
     }

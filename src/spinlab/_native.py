@@ -1,7 +1,7 @@
 """Build and load spinlab's compiled kernels, _kernels.c, on first use.
 
 The library holds the Metropolis loop of qemcmc and its single-flip move
-draw, and the transverse-field rotation and X sum of statevector; each
+draw, and the single-qubit gate layer and X sum of statevector; each
 caller checks its arrays before it passes a pointer.  spinlab runs from a
 source checkout with no install step, so the library is compiled lazily,
 by the first kernel call (a chain or an X layer, say) and never at import,
@@ -64,8 +64,8 @@ def _load(path: Path) -> ctypes.CDLL:
         ptr, i64, i64, i64, i64, ctypes.POINTER(i64))
     lib.spinlab_flip_masks.restype = None
     lib.spinlab_flip_masks.argtypes = (ptr, i64, ptr, i64)
-    lib.spinlab_rotate_x.restype = None
-    lib.spinlab_rotate_x.argtypes = (ptr, i64, i64, ptr, ptr, i64)
+    lib.spinlab_rotate.restype = None
+    lib.spinlab_rotate.argtypes = (ptr, i64, i64, ptr, ptr, i64)
     lib.spinlab_x_sum.restype = None
     lib.spinlab_x_sum.argtypes = (ptr, ptr, i64, i64)
     return lib

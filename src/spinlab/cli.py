@@ -16,6 +16,13 @@ from .harness import jw_map, load_config
 EXPERIMENTS = dict(harness.EXPERIMENTS)
 
 
+def positive_int(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinlab",
@@ -33,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed; every task derives its own stream")
         p.add_argument("--out", type=Path, default=Path("runs"),
                        help="output directory for CSV and manifest")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=positive_int, default=1,
                        help="worker processes for fig2's independent "
                             "cells; the other experiments ignore it")
 

@@ -34,9 +34,10 @@ cost of the series.  Milliseconds per step, dense / sector / series, 1 and
 4 chains, one BLAS thread on a 2-core x86-64 host: L = 7, 2.3 / 1.3 / 5.1;
 L = 8, 11-12 / 4.4-5.4 / 5.5-9.0; L = 9, 55-58 / 19-20 / 5.0-9.4.
 
-build_proposal_matrix shares _start_columns with the chain step and is
-symmetric to the last bit, so its kernel keeps the Boltzmann pi and
-spectral_gap takes eigvalsh of sqrt(pi) P / sqrt(pi) (eigvals without pi).
+build_proposal_matrix evolves by _start_columns (the chain step takes the
+series instead at L = 9 and 10, within 1e-12) and is symmetric to the last
+bit, so its kernel keeps the Boltzmann pi and spectral_gap takes eigvalsh
+of sqrt(pi) P / sqrt(pi) (eigvals without pi).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from scipy.special import jv
 from ._native import library
 from .pauli import _number_array, _positive_int
 from .statevector import (CapacityError, SpinConfiguration, _inverse_cdf,
-                          _normalized_cdf, _rotate_x, _x_gate, _x_sum,
+                          _normalized_cdf, _rotate, _x_gate, _x_sum,
                           all_spin_values)
 
 # A time cap, not a memory cap.  One Chebyshev proposal step (fully
@@ -361,10 +362,10 @@ def _trotter_columns(v_table: np.ndarray, gamma: float, t: float,
     amps[start, np.arange(start.size)] = 1.0
     dt = t / steps
     dphase = np.exp(-1j * dt * v_table)[:, None]
-    rows = _x_gate(gamma * dt)[:1].repeat(L, axis=0)
+    gates = _x_gate(gamma * dt)[None].repeat(L, axis=0)
     for _ in range(steps):
         amps *= dphase
-        _rotate_x(amps, start.size, range(L), rows)
+        _rotate(amps, start.size, range(L), gates)
     return amps
 
 
@@ -613,8 +614,9 @@ def build_proposal_matrix(model: ClassicalSpinModel,
 
     Uses K fixed draws of (t, gamma) so T is a definite matrix.  T is
     symmetric because H is real symmetric, and is returned as (T + T^T) / 2
-    so that it is so to the last bit.  Draws evolve by the chain step's
-    propagator, a flip-symmetric V only the starts x < 2^(L-1).
+    so that it is so to the last bit.  Draws evolve by ``_start_columns``,
+    which at L = 9 and 10 is the eigh where the exact chain step takes the
+    Chebyshev series; a flip-symmetric V evolves only the x < 2^(L-1).
     """
     if model.L > MAX_MATRIX_QUBITS:
         raise CapacityError(

@@ -5,13 +5,13 @@ values of Pauli sums, projective Z-basis sampling, exact diagonalization,
 Lanczos ground states, and real-time evolution.  Everything is capped at
 desk scale: 26 qubits for vectors, 12 for dense and sparse matrices.
 
-X rotations run in one call of the compiled spinlab_rotate_x (see
-_native), with the bits of numpy's general form: the HVA X layer and both
-Trotter steps call ``_rotate_x``, and ``_rotate_qubits`` is that numpy
-form, kept for the basis rotations.  sum_k X_k, on a vector or a block of
-columns, is the compiled spinlab_x_sum.  The ZZ phase layer stays in
-numpy: a fully complex product may be fused into a multiply-add by numpy
-and not by the library, and then the two round apart.  Z-basis draws are
+Every single-qubit gate layer (the HVA X layer, both Trotter steps and the
+measurement-basis rotations) is one call of the compiled spinlab_rotate
+(see _native) through ``_rotate``, with the bits of numpy's general 2x2
+form for each gate spinlab builds.  sum_k X_k, on a vector or a block of
+columns, is the compiled spinlab_x_sum.  The ZZ phase layer stays in numpy:
+a fully complex product may be fused into a multiply-add by numpy and not
+by the library, and then the two round apart.  Z-basis draws are
 inverse-CDF searches that an exact guide table shortcuts when there are at
 least as many draws as basis states.
 
@@ -170,54 +170,35 @@ def _native_array(name: str, a: np.ndarray, dtypes: tuple[np.dtype, ...]
         raise ValueError(f"{name} must be C-contiguous")
 
 
-def _rotate_x(amps: np.ndarray, unit: int, qubits: Sequence[int],
-              gates: np.ndarray) -> None:
-    """[[g00, g01], [g01, g00]] with gates[i] = (g00, g01) on qubit
-    qubits[i], in order, in place, by the compiled spinlab_rotate_x.
+def _rotate(amps: np.ndarray, unit: int, qubits: Sequence[int],
+            gates: np.ndarray) -> None:
+    """The 2x2 matrix gates[i] on qubit qubits[i], in order, in place, by
+    the compiled spinlab_rotate.
 
     amps is a writable C-contiguous complex128 array; a qubit step moves its
     flat entry index by unit << qubit (1 for a vector or a stack of rows, m
-    for a (2^n, m) block of columns).
+    for a (2^n, m) block of columns), each row or column bitwise as alone.
+    The products are unfused, so they round as numpy's general form does
+    for a gate whose entries each have a zero real or imaginary part (an X
+    rotation, the Hadamard, the Y-basis map), short of a nan's sign or a
+    subnormal product's signed zero.
     """
     _native_array("amps", amps, (_C128,))
     if not amps.flags.writeable:
         raise ValueError("amps must be writable")
+    if not len(qubits):
+        return
     gates = np.ascontiguousarray(gates, dtype=_C128)
-    if gates.shape != (len(qubits), 2):
-        raise ValueError(f"need one (g00, g01) row per qubit, got "
-                         f"{len(qubits)} qubits and gates of shape "
-                         f"{gates.shape}")
-    if len(qubits) and (min(qubits) < 0 or unit < 1
-                        or amps.size % (unit << (max(qubits) + 1))):
+    if gates.shape != (len(qubits), 2, 2):
+        raise ValueError(f"need one 2x2 gate per qubit, got {len(qubits)} "
+                         f"qubits and gates of shape {gates.shape}")
+    if min(qubits) < 0 or unit < 1 or amps.size % (unit << (max(qubits) + 1)):
         raise ValueError(f"{amps.size} entries at unit {unit} do not split "
                          f"into pairs on qubits {list(qubits)}")
     qubits = np.array(qubits, dtype=np.int64)
-    library().spinlab_rotate_x(amps.ctypes.data, amps.size, unit,
-                               qubits.ctypes.data, gates.ctypes.data,
-                               qubits.size)
-
-
-def _rotate_qubits(amps: np.ndarray,
-                   gates: Sequence[tuple[int, np.ndarray]]) -> None:
-    """Apply (qubit, 2x2 gate) pairs in order, in place, in numpy's general
-    two-product, two-sum form.
-
-    amps is C-contiguous: a (2^n, m) block of m columns, or a flat vector
-    holding one or more 2^n states back to back (a C-contiguous (m, 2^n)
-    stack passed as ``reshape(-1)``).  Every column or row comes out bitwise
-    equal to the one-vector result.  An X rotation gives the same bits by
-    ``_rotate_x``: each entry of its gate has a zero part, so each product
-    rounds the same whether or not numpy fuses it (short of a subnormal
-    product's signed zero, or a nan's sign), and ``g10 v0 + g11 v1`` is the
-    compiled ``g00 w + g01 v`` with its two terms swapped, an exact swap in
-    IEEE addition.
-    """
-    for k, ((g00, g01), (g10, g11)) in gates:
-        view = amps.reshape(amps.shape[0] >> (k + 1), 2, -1)
-        v0, v1 = view[:, 0], view[:, 1]
-        top = g00 * v0 + g01 * v1
-        view[:, 1] = g10 * v0 + g11 * v1
-        view[:, 0] = top
+    library().spinlab_rotate(amps.ctypes.data, amps.size, unit,
+                             qubits.ctypes.data, gates.ctypes.data,
+                             qubits.size)
 
 
 def _x_gate(a: float) -> np.ndarray:
@@ -266,8 +247,8 @@ def _hva_layer(block: np.ndarray, model: TFIMModel, slot: int,
         vals, inv = _zz_levels(model.L, model.periodic)
         block *= np.exp(1j * theta * (-model.J) * vals)[inv]
     else:
-        row = _x_gate(theta * model.Gamma)[:1]
-        _rotate_x(block, 1, range(model.L), row.repeat(model.L, axis=0))
+        gates = _x_gate(theta * model.Gamma)[None].repeat(model.L, axis=0)
+        _rotate(block, 1, range(model.L), gates)
 
 
 def _layer(s: StateVector, model: TFIMModel, slot: int,
@@ -398,9 +379,9 @@ def rotate_to_basis(s: StateVector, basis: str) -> StateVector:
         if b not in _BASIS_ROT:
             raise ValueError(f"basis letter {b!r} at qubit {k} is not one of "
                              "Z, X, Y")
+    qubits = [k for k, b in enumerate(basis) if b != "Z"]
     amps = s.amplitudes.copy()
-    _rotate_qubits(amps,
-                   [(k, _BASIS_ROT[b]) for k, b in enumerate(basis) if b != "Z"])
+    _rotate(amps, 1, qubits, [_BASIS_ROT[basis[k]] for k in qubits])
     return StateVector(amps)
 
 
@@ -516,13 +497,11 @@ def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
         dt = t / steps
         dphase = np.exp(-1j * dt * diagonal_values(diag))
         qubits = [string.support()[0] for _, string in xpart.terms]
-        # (0, 2) with no X term: _rotate_x wants one gate row per qubit
-        rows = np.array([_x_gate(coeff.real * dt)[0]
-                         for coeff, _ in xpart.terms]).reshape(-1, 2)
+        gates = np.array([_x_gate(c.real * dt) for c, _ in xpart.terms])
         amps = s.amplitudes.copy()
         for _ in range(steps):
             amps *= dphase
-            _rotate_x(amps, 1, qubits, rows)
+            _rotate(amps, 1, qubits, gates)
         return StateVector(amps)
     raise ValueError(f"unknown method {method!r}")
 
@@ -539,9 +518,9 @@ def dump_state(s: StateVector, fh: BinaryIO) -> None:
 def load_state(fh: BinaryIO) -> StateVector:
     head = fh.read(8)
     n = int.from_bytes(head, "little")
-    if len(head) < 8 or n > MAX_STATE_QUBITS:
+    if len(head) < 8 or not 1 <= n <= MAX_STATE_QUBITS:
         raise ValueError(f"dump header {n} read from {len(head)} bytes is not "
-                         f"a qubit count of at most {MAX_STATE_QUBITS}")
+                         f"a qubit count of 1 to {MAX_STATE_QUBITS}")
     raw = fh.read(16 * 2 ** n)
     if len(raw) < 16 * 2 ** n:
         raise ValueError(f"dump header names {n} qubits, {16 * 2 ** n} bytes "

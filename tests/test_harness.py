@@ -567,6 +567,17 @@ class TestCli:
             "qemcmc-run": qemcmc_run}
         assert list(cli.EXPERIMENTS) == list(PARAMS)
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_is_refused(self, tmp_path, capsys,
+                                              threads):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["vqe-run", "--threads", threads, "--out",
+                      str(tmp_path)])
+        assert exc.value.code == 2
+        assert (f"argument --threads: must be at least 1, got "
+                f"{int(threads)}") in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -2,9 +2,12 @@
 
 The digests below are sha256 prefixes of raw ``tobytes()`` output, recorded
 from the 8-op rotation loop and the 2-add ``_x_sum`` that are kept here as
-``_rotate_qubits_ref`` and ``_x_sum_ref``; the compiled X rotation and X
-sum are held to those two bit for bit, on signed zeros, infinities and nan
-too (the rotation's nan signs aside).  The digests cover the HVA gradient,
+``_rotate_qubits_ref`` and ``_x_sum_ref``; the compiled rotation, on X
+rotations, the Hadamard and the Y-basis map, and the compiled X sum are
+held to those two bit for bit, on signed zeros, infinities and nan too (the
+rotation's nan signs aside).  A fully complex gate, which numpy may fuse
+into a multiply-add, is held instead to ``_rotate_float_ref``, the kernel's
+own unfused order in Python floats.  The digests cover the HVA gradient,
 ``prepare``, ``sr_matrix``, ``apply_exp_x``, ``rotate_to_basis``, Trotter
 evolution, the Trotter proposal columns, the VMC local-energy table, the
 grouped shot-noise estimator, ``diagonal_values``, ``PauliSum.dense`` on a
@@ -56,9 +59,8 @@ from spinlab.qemcmc import (CHEBYSHEV_TOL, ClassicalSpinModel,
                             single_flip_matrix, spectral_gap,
                             spin_glass_instance, uniform_matrix)
 from spinlab.statevector import (_BASIS_ROT, StateVector, TFIMModel,
-                                 _rotate_qubits, _rotate_x, _x_gate, _x_sum,
-                                 apply_exp_x, diagonal_values, evolve,
-                                 rotate_to_basis)
+                                 _rotate, _x_gate, _x_sum, apply_exp_x,
+                                 diagonal_values, evolve, rotate_to_basis)
 from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz, _sr_update,
                          local_energy_table, run_sr_optimization)
 from spinlab.vqe import (HVAnsatz, ShotPlan, energy_and_gradient,
@@ -79,11 +81,35 @@ def _rotate_qubits_ref(amps, gates):
         view[:, 0] = top
 
 
-def _rotate_x_pairs(amps, gates):
-    """(qubit, X rotation) pairs in one ``_rotate_x`` call: unit 1 for a
-    vector or a flat stack of rows, m for a (2^n, m) block of columns."""
-    _rotate_x(amps, amps.size // amps.shape[0], [k for k, _ in gates],
-              [g[0] for _, g in gates])
+def _rotate_pairs(amps, gates):
+    """(qubit, 2x2 gate) pairs in one ``_rotate`` call: unit 1 for a vector
+    or a flat stack of rows, m for a (2^n, m) block of columns."""
+    _rotate(amps, amps.size // amps.shape[0], [k for k, _ in gates],
+            [g for _, g in gates])
+
+
+def _rotate_float_ref(amps, gates):
+    """(qubit, 2x2 gate) pairs in Python floats, in the compiled kernel's
+    order: v, w become (g00 v) + (g01 w), (g10 v) + (g11 w), each product
+    of a gate entry g and an amplitude z as (gr zr - gi zi, gr zi + gi zr),
+    with no fused multiply-add."""
+    unit = amps.size // amps.shape[0]
+    re, im = amps.real.reshape(-1).tolist(), amps.imag.reshape(-1).tolist()
+    for k, g in gates:
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = [
+            (z.real, z.imag) for z in g.reshape(-1).tolist()]
+        step = unit << k
+        for base in range(0, len(re), 2 * step):
+            for j in range(base, base + step):
+                vr, vi, wr, wi = re[j], im[j], re[j + step], im[j + step]
+                re[j] = (ar * vr - ai * vi) + (br * wr - bi * wi)
+                im[j] = (ar * vi + ai * vr) + (br * wi + bi * wr)
+                re[j + step] = (cr * vr - ci * vi) + (dr * wr - di * wi)
+                im[j + step] = (cr * vi + ci * vr) + (dr * wi + di * wr)
+    out = np.empty(amps.shape, dtype=complex)
+    out.real = np.reshape(re, amps.shape)
+    out.imag = np.reshape(im, amps.shape)
+    return out
 
 
 def _x_sum_ref(amps, n):
@@ -980,7 +1006,7 @@ def _gates():
             "x-0.37": _x_gate(-0.37), "x-pi/2": _x_gate(np.pi / 2),
             "hadamard": had, "y-rotation": _BASIS_ROT["Y"],
             "random": rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-            # symmetric but not an X rotation: only the numpy form takes it
+            # symmetric but not an X rotation, and fully complex
             "symmetric-complex": np.array([[0.6 + 0.3j, -0.2 + 0.7j],
                                            [-0.2 + 0.7j, 0.6 + 0.3j]])}
 
@@ -1000,15 +1026,22 @@ def _blocks(n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("gate", list(_gates()))
 def test_rotation_kernel_matches_general_form_bitwise(gate, n):
-    """X rotations by the compiled ``_rotate_x``, any other gate by
-    ``_rotate_qubits``."""
+    """Bitwise as numpy's general form for the gates whose entries each have
+    a zero part; a fully complex gate, whose products numpy may fuse, bitwise
+    as the kernel's unfused order and close to numpy's form."""
     g = _gates()[gate]
-    rotate = _rotate_x_pairs if gate.startswith("x") else _rotate_qubits
     order = list(range(n)) + [n - 1, 0]
+    gates = [(k, g) for k in order]
     for name, amps in _blocks(n).items():
         ref = amps.copy()
-        _rotate_qubits_ref(ref, [(k, g) for k in order])
-        rotate(amps, [(k, g) for k in order])
+        _rotate_qubits_ref(ref, gates)
+        if gate in ("random", "symmetric-complex"):
+            unfused = _rotate_float_ref(amps, gates)
+            # a few roundings of 2^-53 per gate, over at most 12 gates
+            err = np.max(np.abs(unfused - ref))
+            assert err <= 1e-14 * np.max(np.abs(ref)), name
+            ref = unfused
+        _rotate_pairs(amps, gates)
         assert amps.tobytes() == ref.tobytes(), name
 
 
@@ -1027,7 +1060,7 @@ def test_x_rotations_match_general_form_bitwise(n, m):
             amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             ref = amps.copy()
             _rotate_qubits_ref(ref, gates)
-            _rotate_x_pairs(amps, gates)
+            _rotate_pairs(amps, gates)
             assert amps.tobytes() == ref.tobytes(), shape
 
 
@@ -1044,12 +1077,14 @@ def _special_pairs() -> np.ndarray:
     return pairs
 
 
-@pytest.mark.parametrize("gate", ["x0", "x+0.37", "x-0.37", "x-pi/2"])
+@pytest.mark.parametrize("gate", ["x0", "x+0.37", "x-0.37", "x-pi/2",
+                                  "hadamard", "y-rotation"])
 def test_x_rotation_keeps_signed_zeros_and_non_finite_entries(gate):
-    """Bitwise wherever the general form gives a number; nan where it gives
-    nan.  A nan's sign is the host's choice (which operand of a two-nan sum
-    survives, and whether a fused product keeps an input nan over the
-    default nan of 0 * inf), so it is not compared."""
+    """The X rotations and the two basis maps, whose entries each have a
+    zero part: bitwise wherever the general form gives a number; nan where
+    it gives nan.  A nan's sign is the host's choice (which operand of a
+    two-nan sum survives, and whether a fused product keeps an input nan
+    over the default nan of 0 * inf), so it is not compared."""
     gates = [(0, _gates()[gate])]
     pairs = _special_pairs()
     # each row a one-qubit vector, then each column of a (2, 6^4) block
@@ -1057,7 +1092,7 @@ def test_x_rotation_keeps_signed_zeros_and_non_finite_entries(gate):
         ref = amps.copy()
         with np.errstate(invalid="ignore"):  # numpy's 0 * inf
             _rotate_qubits_ref(ref, gates)
-        _rotate_x_pairs(amps, gates)
+        _rotate_pairs(amps, gates)
         got, want = amps.view(float), ref.view(float)
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)

@@ -116,20 +116,22 @@ def _cplx(*shape):
 def test_rotation_entry_point_refuses_a_bad_block(monkeypatch, amps, unit,
                                                    qubits, match):
     monkeypatch.setattr(statevector, "library", _no_library)
-    gates = np.ones((len(qubits), 2), dtype=complex)
+    gates = np.ones((len(qubits), 2, 2), dtype=complex)
     with pytest.raises(ValueError, match=match):
-        statevector._rotate_x(amps, unit, qubits, gates)
+        statevector._rotate(amps, unit, qubits, gates)
 
 
 def test_rotation_entry_point_refuses_bad_gates_and_read_only_blocks(
         monkeypatch):
     monkeypatch.setattr(statevector, "library", _no_library)
-    with pytest.raises(ValueError, match="one .g00, g01. row per qubit"):
-        statevector._rotate_x(_cplx(8), 1, [0, 1], np.ones((1, 2)))
+    # too few gates, and (g00, g01) rows in place of 2x2 matrices
+    for gates in (np.ones((1, 2, 2)), np.ones((2, 2)), np.ones((2, 4))):
+        with pytest.raises(ValueError, match="one 2x2 gate per qubit"):
+            statevector._rotate(_cplx(8), 1, [0, 1], gates)
     frozen = _cplx(8)
     frozen.flags.writeable = False
     with pytest.raises(ValueError, match="writable"):
-        statevector._rotate_x(frozen, 1, [0], np.ones((1, 2)))
+        statevector._rotate(frozen, 1, [0], np.ones((1, 2, 2)))
 
 
 @pytest.mark.parametrize("amps, n, match", [
@@ -171,7 +173,7 @@ def test_every_kernel_has_its_ctypes_signature_declared():
     lib = _native.library()
     signatures = list(_kernel_signatures())
     assert {name for name, _, _ in signatures} >= {
-        "spinlab_metropolis", "spinlab_flip_masks", "spinlab_rotate_x",
+        "spinlab_metropolis", "spinlab_flip_masks", "spinlab_rotate",
         "spinlab_x_sum"}
     for name, ret, params in signatures:
         fn = getattr(lib, name)

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from spinlab import qemcmc, statevector
+from spinlab import qemcmc
 from spinlab.qemcmc import (
     CHEBYSHEV_MIN_QUBITS,
     MAX_EXACT_QUBITS,
@@ -381,17 +381,19 @@ class TestProposeQuantum:
             assert np.max(np.abs(cols[:, c] - want.amplitudes)) <= 1e-12
 
     def test_trotter_chain_calls_the_compiled_x_rotation(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a Trotter step took the numpy general form")
-
-        monkeypatch.setattr(statevector, "_rotate_qubits", refuse)
-        monkeypatch.setattr(qemcmc, "_rotate_qubits", refuse, raising=False)
+        calls = []
+        rotate = qemcmc._rotate
+        monkeypatch.setattr(qemcmc, "_rotate",
+                            lambda *a: calls.append(a[1]) or rotate(*a))
         m = spin_glass_instance(6, np.random.default_rng(14))
         cfg = QuantumProposalConfig(gamma_range=(0.2, 0.6),
                                     evolution="trotter", trotter_steps=4)
         samples, _ = run_chain(m, cfg, 1.0, 5, np.random.default_rng(15),
                                n_chains=3)
         assert samples.shape == (3, 5)
+        # one call per Trotter step of each of the 5 chain steps, on a block
+        # of the 3 chains' columns
+        assert calls == [3] * (5 * 4)
 
     def test_exact_capacity_limit(self):
         L = 13

@@ -20,7 +20,7 @@ from spinlab.statevector import (
     _guide_table,
     _inverse_cdf,
     _normalized_cdf,
-    _rotate_qubits,
+    _rotate,
     all_spin_values,
     apply_exp_x,
     apply_exp_zz,
@@ -233,11 +233,12 @@ class TestRotationKernel:
             q, _ = np.linalg.qr(rng.normal(size=(2, 2))
                                 + 1j * rng.normal(size=(2, 2)))
             gates.append((k, q))
+        qubits, gates = zip(*gates)
         block = rng.normal(size=(2 ** n, m)) + 1j * rng.normal(size=(2 ** n, m))
         cols = [block[:, c].copy() for c in range(m)]
-        _rotate_qubits(block, gates)
+        _rotate(block, m, qubits, gates)
         for c, col in enumerate(cols):
-            _rotate_qubits(col, gates)
+            _rotate(col, 1, qubits, gates)
             assert np.array_equal(block[:, c], col)
 
     def test_flat_row_stack_matches_separate_rows_bitwise(self):
@@ -245,11 +246,12 @@ class TestRotationKernel:
         n, m = 5, 3
         gates = [(k, scipy.linalg.expm(-1j * rng.normal() * np.array(
             [[0, 1], [1, 0]]))) for k in (4, 0, 2, 0)]
+        qubits, gates = zip(*gates)
         stack = rng.normal(size=(m, 2 ** n)) + 1j * rng.normal(size=(m, 2 ** n))
         rows = [row.copy() for row in stack]
-        _rotate_qubits(stack.reshape(-1), gates)
+        _rotate(stack.reshape(-1), 1, qubits, gates)
         for r, row in enumerate(rows):
-            _rotate_qubits(row, gates)
+            _rotate(row, 1, qubits, gates)
             assert np.array_equal(stack[r], row)
 
 
@@ -621,7 +623,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_trotter_without_x_terms_is_the_diagonal_phase(self, steps):
-        # no X term leaves _rotate_x an empty (0, 2) gate list
+        # no X term leaves _rotate no qubit to rotate
         rng = np.random.default_rng(34)
         s = random_state(3, rng)
         h = PauliSum.from_terms(3, [(-0.7, PauliString("ZZI")),
@@ -635,14 +637,16 @@ class TestEvolve:
         assert got.tobytes() == want.tobytes()
 
     def test_trotter_calls_the_compiled_x_rotation(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a Trotter step took the numpy general form")
-
-        monkeypatch.setattr(statevector, "_rotate_qubits", refuse)
+        calls = []
+        rotate = statevector._rotate
+        monkeypatch.setattr(statevector, "_rotate",
+                            lambda *a: calls.append(a[2]) or rotate(*a))
         s = random_state(3, np.random.default_rng(35))
         h = TFIMModel(L=3, J=0.9, Gamma=1.4).as_pauli_sum()
         out = evolve(s, h, 0.8, method="trotter", steps=4)
         assert abs(out.norm() - 1.0) < 1e-12
+        # one call per Trotter step, each rotating every qubit
+        assert [sorted(q) for q in calls] == [[0, 1, 2]] * 4
 
     def test_trotter_unitary(self):
         rng = np.random.default_rng(29)
@@ -696,3 +700,9 @@ class TestDump:
         with pytest.raises(ValueError, match=r"header 60 read from 8 bytes"):
             load_state(Recording(raw))
         assert sizes == [8]
+
+    def test_header_of_zero_qubits_rejected(self):
+        # init_plus and basis_state refuse a 0-qubit state too
+        raw = (0).to_bytes(8, "little") + np.ones(1, "<c16").tobytes()
+        with pytest.raises(ValueError, match=r"header 0 .* qubit count of 1 "):
+            load_state(io.BytesIO(raw))
