@@ -11,18 +11,16 @@ One kernel, _metropolis, runs every Metropolis chain here and in vmc: it
 accepts a move i -> p when log u < scale * (t[p] - t[i]) on a precomputed
 table t (the energies V with scale -beta in run_chain, log |psi|^2 with
 scale 1 in VMC) and records the state after step burn_in + k * thinning
-(run_chain: burn_in 0, thinning record_every).  Its per-step loop is the C
-function of _kernels.c, built on the first call (see _native).  Each block
-of moves and log u is drawn before the loop runs it, in numpy's stream:
-single-flip masks by the compiled twin of 1 << rng.integers(0, L)
-(_flip_draw), everything else by numpy itself.
+(run_chain: burn_in 0, thinning record_every), by blocks of moves and
+log u that it draws in numpy's stream (single-flip masks by the compiled
+_native.flip_draw) and the compiled loop _native.metropolis runs.
 
 The exact proposal evolves only the chains' start columns of exp(-iHt), by
 one of three propagators that agree to about 1e-13:
 
 - from L = 9 (CHEBYSHEV_MIN_QUBITS), the Chebyshev series of Tal-Ezer &
   Kosloff, J. Chem. Phys. 81, 3967 (1984), whose products are the diagonal
-  times a column plus the compiled sum_k X_k (statevector._x_sum);
+  times a column plus the compiled sum_k X_k (_native.x_sum);
 - below that, when V(x) = V(~x) (zero fields, as in every built-in
   instance), two eigh of size 2^(L-1), one per sector of the global flip
   (the symmetry-adapted basis of exact diagonalisation, Sandvik, AIP Conf.
@@ -42,7 +40,6 @@ of sqrt(pi) P / sqrt(pi) (eigvals without pi).
 
 from __future__ import annotations
 
-import ctypes
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,11 +47,10 @@ from pathlib import Path
 import numpy as np
 from scipy.special import jv
 
-from ._native import library
+from . import _native
 from .pauli import _number_array, _positive_int
 from .statevector import (CapacityError, SpinConfiguration, _inverse_cdf,
-                          _normalized_cdf, _rotate, _x_gate, _x_sum,
-                          all_spin_values)
+                          _normalized_cdf, _x_gate, all_spin_values)
 
 # A time cap, not a memory cap.  One Chebyshev proposal step (fully
 # connected glass, 4 chains, median of 5 draws, one BLAS thread on a 2-core
@@ -315,7 +311,7 @@ def _chebyshev_columns(v_table: np.ndarray, gamma: float, t: float,
     max V + gamma L], exp(-iHt) = exp(-ict) sum_k (2 - delta_k0) (-i)^k
     J_k(rt) T_k(H~).  H is real and each start is a basis vector, so every
     T_k(H~)|x> is real: even k feed the real part, odd k the imaginary part.
-    H~ acts on all chains' columns at once by the compiled _x_sum.
+    H~ acts on all chains' columns at once by the compiled _native.x_sum.
     """
     L = v_table.size.bit_length() - 1
     dim = v_table.size
@@ -340,7 +336,7 @@ def _chebyshev_columns(v_table: np.ndarray, gamma: float, t: float,
     diag = ((v_table - c) / r)[:, None]
 
     def h_tilde(x):
-        return diag * x + (gamma / r) * _x_sum(x, L)
+        return diag * x + (gamma / r) * _native.x_sum(x, L)
 
     prev, cur = x0, h_tilde(x0)
     re = weights[0] * prev
@@ -365,7 +361,7 @@ def _trotter_columns(v_table: np.ndarray, gamma: float, t: float,
     gates = _x_gate(gamma * dt)[None].repeat(L, axis=0)
     for _ in range(steps):
         amps *= dphase
-        _rotate(amps, start.size, range(L), gates)
+        _native.rotate(amps, start.size, range(L), gates)
     return amps
 
 
@@ -456,14 +452,11 @@ def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
                 flip: bool) -> tuple[np.ndarray, int]:
     """Metropolis chains on a precomputed table; (records, accepted moves).
 
-    Each chain accepts a move from i to p when log u < scale * (t[p] - t[i])
-    and is recorded after step burn_in + k * thinning, k >= 1.  Every
-    ``block`` steps, draw(n, idx) returns the next n rows of moves for the
-    current states idx: XOR masks with ``flip``, else proposed states; the
-    block's uniforms are drawn right after it, and the compiled loop runs
-    the block, refusing a proposal outside the table with an IndexError.
-    Without ``initial`` each chain starts at a random index, redrawn while
-    the table is infinite there (a zero weight).
+    Every ``block`` steps, draw(n, idx) returns the next n rows of moves for
+    the current states idx: XOR masks with ``flip``, else proposed states;
+    the block's uniforms are drawn right after it, and _native.metropolis
+    runs the block.  Without ``initial`` each chain starts at a random
+    index, redrawn while the table is infinite there (a zero weight).
     """
     dim = table.size
     if initial is None:
@@ -481,57 +474,16 @@ def _metropolis(table: np.ndarray, scale: float, initial, n_chains: int,
         idx = idx.astype(np.int64)
     records = np.empty((n_chains, (steps - burn_in) // thinning),
                        dtype=np.int64)
-    table = np.ascontiguousarray(table, dtype=float)
-    kernel = library().spinlab_metropolis
-    bad = ctypes.c_int64()
     accepted = 0
     u = np.empty((min(block, steps), n_chains))
     for done in range(0, steps, block):
         n = min(block, steps - done)
-        moves = np.asarray(draw(n, idx))
+        moves = draw(n, idx)
         logu = rng.random(out=u[:n])
         np.log(logu, out=logu)
-        if (moves.shape != (n, n_chains)
-                or not np.issubdtype(moves.dtype, np.integer)):
-            raise IndexError(f"draw must return {n} x {n_chains} integer "
-                             f"moves, got {moves.dtype} {moves.shape}")
-        moves = np.ascontiguousarray(moves, dtype=np.int64)
-        taken = kernel(table.ctypes.data, dim, scale, moves.ctypes.data,
-                       logu.ctypes.data, n, n_chains, flip, idx.ctypes.data,
-                       records.ctypes.data, records.shape[1], done, burn_in,
-                       thinning, bad)
-        if taken < 0:
-            raise IndexError(f"Metropolis proposal {bad.value} lies outside "
-                             f"the table's basis indices [0, {dim})")
-        accepted += taken
+        accepted += _native.metropolis(table, scale, moves, logu, flip, idx,
+                                       records, done, burn_in, thinning)
     return records, accepted
-
-
-def _flip_draw(rng: np.random.Generator, L: int, n_chains: int):
-    """A _metropolis draw of single-flip XOR masks on 1 <= L <= 63 sites.
-
-    draw(n, idx) returns the next n rows of 1 << rng.integers(0, L), bitwise
-    and stream-wise what numpy gives for size=(n, n_chains), as written by
-    the compiled spinlab_flip_masks into one buffer that each call reuses,
-    sized by the largest n asked for so far.
-    """
-    if not 1 <= L <= 63:
-        raise ValueError(f"single-flip masks need 1 <= L <= 63 sites, "
-                         f"got L = {L!r}")
-    buf = np.empty((0, n_chains), dtype=np.int64)
-    bitgen = rng.bit_generator
-    state = bitgen.ctypes.bit_generator
-    masks = library().spinlab_flip_masks
-
-    def draw(n, idx):
-        nonlocal buf
-        if n > buf.shape[0]:
-            buf = np.empty((n, n_chains), dtype=np.int64)
-        with bitgen.lock:
-            masks(state, L, buf.ctypes.data, n * n_chains)
-        return buf[:n]
-
-    return draw
 
 
 def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
@@ -560,7 +512,7 @@ def run_chain(model: ClassicalSpinModel, proposal, beta: float, steps: int,
                          f"got {record_every!r}")
     flip = proposal == "single-flip"
     if flip:
-        draw = _flip_draw(rng, L, n_chains)
+        draw = _native.flip_draw(rng, L, n_chains)
     else:
         def draw(n, idx):
             if quantum:
@@ -600,6 +552,8 @@ class TransitionMatrix:
         t = np.asarray(self.proposal, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("proposal matrix must be square")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("proposal entries must be finite")
         if np.any(t < -1e-12):
             raise ValueError("proposal entries must be nonnegative")
         if np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-10:
@@ -618,6 +572,7 @@ def build_proposal_matrix(model: ClassicalSpinModel,
     which at L = 9 and 10 is the eigh where the exact chain step takes the
     Chebyshev series; a flip-symmetric V evolves only the x < 2^(L-1).
     """
+    _check_counts(1, K=K)
     if model.L > MAX_MATRIX_QUBITS:
         raise CapacityError(
             f"proposal matrix capped at {MAX_MATRIX_QUBITS} sites")
@@ -721,8 +676,14 @@ def exact_autocorrelation_time(p: np.ndarray, pi: np.ndarray,
     """Integrated autocorrelation time of observable f under reversible P.
 
     Works through the symmetrized kernel's eigenbasis; serves as the oracle
-    the sampled estimator is checked against.
+    the sampled estimator is checked against.  pi must be positive and
+    finite at every state: an underflowed zero leaves sqrt(pi) P / sqrt(pi)
+    undefined.
     """
+    bad = ~((pi > 0) & np.isfinite(pi))
+    if np.any(bad):
+        raise ValueError(f"pi must be positive and finite at every state; "
+                         f"{np.count_nonzero(bad)} of {bad.size} are not")
     root = np.sqrt(pi)
     vals, vecs = np.linalg.eigh(_symmetrized(p, pi))
     g = f - pi @ f

@@ -6,14 +6,13 @@ Lanczos ground states, and real-time evolution.  Everything is capped at
 desk scale: 26 qubits for vectors, 12 for dense and sparse matrices.
 
 Every single-qubit gate layer (the HVA X layer, both Trotter steps and the
-measurement-basis rotations) is one call of the compiled spinlab_rotate
-(see _native) through ``_rotate``, with the bits of numpy's general 2x2
-form for each gate spinlab builds.  sum_k X_k, on a vector or a block of
-columns, is the compiled spinlab_x_sum.  The ZZ phase layer stays in numpy:
-a fully complex product may be fused into a multiply-add by numpy and not
-by the library, and then the two round apart.  Z-basis draws are
-inverse-CDF searches that an exact guide table shortcuts when there are at
-least as many draws as basis states.
+measurement-basis rotations) is one call of the compiled _native.rotate,
+with the bits of numpy's general 2x2 form for each gate spinlab builds.
+sum_k X_k, on a vector or a block of columns, is the compiled _native.x_sum.
+The ZZ phase layer stays in numpy: a fully complex product may be fused
+into a multiply-add by numpy and not by the library, and then the two round
+apart.  Z-basis draws are inverse-CDF searches that an exact guide table
+shortcuts when there are at least as many draws as basis states.
 
 Spin encoding: basis index bit k = 0 means spin +1 on site k, bit 1 means
 spin -1 (qubit k <-> spin k).
@@ -24,13 +23,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._native import library
+from . import _native
 from .pauli import PauliString, PauliSum, _bit_action, _string_values
 
 MAX_STATE_QUBITS = 26
@@ -156,70 +155,10 @@ def basis_state(n: int, index: int) -> StateVector:
     return StateVector(amps)
 
 
-_F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
-
-
-def _native_array(name: str, a: np.ndarray, dtypes: tuple[np.dtype, ...]
-                  ) -> None:
-    """Refuse an array that a compiled kernel cannot take by pointer."""
-    if not isinstance(a, np.ndarray) or a.dtype not in dtypes:
-        raise ValueError(f"{name} must be a "
-                         f"{' or '.join(d.name for d in dtypes)} array, got "
-                         f"{getattr(a, 'dtype', type(a).__name__)}")
-    if not a.flags.c_contiguous:
-        raise ValueError(f"{name} must be C-contiguous")
-
-
-def _rotate(amps: np.ndarray, unit: int, qubits: Sequence[int],
-            gates: np.ndarray) -> None:
-    """The 2x2 matrix gates[i] on qubit qubits[i], in order, in place, by
-    the compiled spinlab_rotate.
-
-    amps is a writable C-contiguous complex128 array; a qubit step moves its
-    flat entry index by unit << qubit (1 for a vector or a stack of rows, m
-    for a (2^n, m) block of columns), each row or column bitwise as alone.
-    The products are unfused, so they round as numpy's general form does
-    for a gate whose entries each have a zero real or imaginary part (an X
-    rotation, the Hadamard, the Y-basis map), short of a nan's sign or a
-    subnormal product's signed zero.
-    """
-    _native_array("amps", amps, (_C128,))
-    if not amps.flags.writeable:
-        raise ValueError("amps must be writable")
-    if not len(qubits):
-        return
-    gates = np.ascontiguousarray(gates, dtype=_C128)
-    if gates.shape != (len(qubits), 2, 2):
-        raise ValueError(f"need one 2x2 gate per qubit, got {len(qubits)} "
-                         f"qubits and gates of shape {gates.shape}")
-    if min(qubits) < 0 or unit < 1 or amps.size % (unit << (max(qubits) + 1)):
-        raise ValueError(f"{amps.size} entries at unit {unit} do not split "
-                         f"into pairs on qubits {list(qubits)}")
-    qubits = np.array(qubits, dtype=np.int64)
-    library().spinlab_rotate(amps.ctypes.data, amps.size, unit,
-                             qubits.ctypes.data, gates.ctypes.data,
-                             qubits.size)
-
-
 def _x_gate(a: float) -> np.ndarray:
     """exp(-i a X) = cos(a) - i sin(a) X."""
     return np.array([[np.cos(a), -1j * np.sin(a)],
                      [-1j * np.sin(a), np.cos(a)]])
-
-
-def _x_sum(amps: np.ndarray, n: int) -> np.ndarray:
-    """sum_k X_k applied by the compiled spinlab_x_sum to a float64 or
-    complex128 vector of 2^n entries, or to each column of a C-contiguous
-    (2^n, m) block, bitwise as to each column alone; k ascends, fixing the
-    rounding."""
-    _native_array("amps", amps, (_F64, _C128))
-    if amps.ndim not in (1, 2) or amps.shape[0] != 2 ** n:
-        raise ValueError(f"amps must be a vector or a block of columns of "
-                         f"2^{n} entries, got shape {amps.shape}")
-    out = np.empty_like(amps)
-    library().spinlab_x_sum(amps.ctypes.data, out.ctypes.data, n,
-                            amps.itemsize // 8 * (amps.size >> n))
-    return out
 
 
 @lru_cache(maxsize=4)
@@ -248,7 +187,7 @@ def _hva_layer(block: np.ndarray, model: TFIMModel, slot: int,
         block *= np.exp(1j * theta * (-model.J) * vals)[inv]
     else:
         gates = _x_gate(theta * model.Gamma)[None].repeat(model.L, axis=0)
-        _rotate(block, 1, range(model.L), gates)
+        _native.rotate(block, 1, range(model.L), gates)
 
 
 def _layer(s: StateVector, model: TFIMModel, slot: int,
@@ -381,7 +320,7 @@ def rotate_to_basis(s: StateVector, basis: str) -> StateVector:
                              "Z, X, Y")
     qubits = [k for k, b in enumerate(basis) if b != "Z"]
     amps = s.amplitudes.copy()
-    _rotate(amps, 1, qubits, [_BASIS_ROT[basis[k]] for k in qubits])
+    _native.rotate(amps, 1, qubits, [_BASIS_ROT[basis[k]] for k in qubits])
     return StateVector(amps)
 
 
@@ -501,7 +440,7 @@ def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
         amps = s.amplitudes.copy()
         for _ in range(steps):
             amps *= dphase
-            _rotate(amps, 1, qubits, gates)
+            _native.rotate(amps, 1, qubits, gates)
         return StateVector(amps)
     raise ValueError(f"unknown method {method!r}")
 
@@ -511,6 +450,7 @@ def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
 # ---------------------------------------------------------------------------
 
 def dump_state(s: StateVector, fh: BinaryIO) -> None:
+    _check_qubits(s.n_qubits)  # the 1 to MAX_STATE_QUBITS load_state reads
     fh.write(struct.pack("<Q", s.n_qubits))
     fh.write(s.amplitudes.astype("<c16").tobytes())
 

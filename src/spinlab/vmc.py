@@ -18,9 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qemcmc import _check_counts, _flip_draw, _metropolis
+from . import _native
+from .qemcmc import _check_counts, _metropolis
 from .statevector import (CapacityError, SpinConfiguration, TFIMModel,
-                          _x_sum, _zz_levels)
+                          _zz_levels)
 from .vqe import EnergyEstimate, _ridge_solve
 
 TABLE_CAP = 20  # build full 2^L lookup tables up to this many sites
@@ -112,7 +113,7 @@ def local_energy_table(a, model: TFIMModel) -> np.ndarray:
     amp = np.asarray(a.amplitude_table())
     amp = np.ascontiguousarray(amp, dtype=np.result_type(amp, np.float64))
     levels, inv = _zz_levels(model.L, model.periodic)
-    ratio_sum = _x_sum(amp, model.L)
+    ratio_sum = _native.x_sum(amp, model.L)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (-model.J * levels)[inv] - model.Gamma * np.where(
             amp != 0, ratio_sum / np.where(amp != 0, amp, 1), np.nan)
@@ -190,10 +191,10 @@ def run_metropolis_chains(a, n_chains: int, n_records: int, burn_in: int,
     with np.errstate(divide="ignore"):
         lw = 2.0 * np.log(np.abs(np.asarray(a.amplitude_table(),
                                             dtype=complex)))
-
+    draw = _native.flip_draw(rng, a.L, n_chains)
     return _metropolis(lw, 1.0, initial, n_chains,
                        burn_in + n_records * thinning, burn_in, thinning, rng,
-                       _flip_draw(rng, a.L, n_chains), 4096, flip=True)[0]
+                       draw, 4096, flip=True)[0]
 
 
 def default_burn_in(L: int) -> int:

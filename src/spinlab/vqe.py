@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
+from . import _native
 from .pauli import (MeasurementGroups, PauliSum, _string_values,
                     group_qubitwise)
 from .statevector import (
@@ -30,7 +31,6 @@ from .statevector import (
     _hva_layer,
     _inverse_cdf,
     _normalized_cdf,
-    _x_sum,
     _zz_levels,
     apply_pauli_sum,
     expectation,
@@ -90,7 +90,7 @@ def _apply_generator(amps: np.ndarray, model: TFIMModel,
                      slot: int) -> np.ndarray:
     """H_1 |amps> for slot 0, H_2 |amps> for slot 1."""
     if slot == 1:
-        return -model.Gamma * _x_sum(amps, model.L)
+        return -model.Gamma * _native.x_sum(amps, model.L)
     vals, inv = _zz_levels(model.L, model.periodic)
     return (-model.J * vals)[inv] * amps
 

@@ -1,7 +1,7 @@
 """Pinned bytes of the statevector kernels and their callers.
 
 The digests below are sha256 prefixes of raw ``tobytes()`` output, recorded
-from the 8-op rotation loop and the 2-add ``_x_sum`` that are kept here as
+from the 8-op rotation loop and the 2-add X sum that are kept here as
 ``_rotate_qubits_ref`` and ``_x_sum_ref``; the compiled rotation, on X
 rotations, the Hadamard and the Y-basis map, and the compiled X sum are
 held to those two bit for bit, on signed zeros, infinities and nan too (the
@@ -44,7 +44,7 @@ import pytest
 from scipy import sparse
 from scipy.special import jv
 
-from spinlab import qemcmc
+from spinlab import _native, qemcmc
 from spinlab.pauli import (FermionHamiltonian, PauliString, PauliSum,
                            group_qubitwise, map_fermionic)
 from spinlab.qemcmc import (CHEBYSHEV_TOL, ClassicalSpinModel,
@@ -59,8 +59,8 @@ from spinlab.qemcmc import (CHEBYSHEV_TOL, ClassicalSpinModel,
                             single_flip_matrix, spectral_gap,
                             spin_glass_instance, uniform_matrix)
 from spinlab.statevector import (_BASIS_ROT, StateVector, TFIMModel,
-                                 _rotate, _x_gate, _x_sum, apply_exp_x,
-                                 diagonal_values, evolve, rotate_to_basis)
+                                 _x_gate, apply_exp_x, diagonal_values,
+                                 evolve, rotate_to_basis)
 from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz, _sr_update,
                          local_energy_table, run_sr_optimization)
 from spinlab.vqe import (HVAnsatz, ShotPlan, energy_and_gradient,
@@ -82,10 +82,10 @@ def _rotate_qubits_ref(amps, gates):
 
 
 def _rotate_pairs(amps, gates):
-    """(qubit, 2x2 gate) pairs in one ``_rotate`` call: unit 1 for a vector
-    or a flat stack of rows, m for a (2^n, m) block of columns."""
-    _rotate(amps, amps.size // amps.shape[0], [k for k, _ in gates],
-            [g for _, g in gates])
+    """(qubit, 2x2 gate) pairs in one ``_native.rotate`` call: unit 1 for a
+    vector or a flat stack of rows, m for a (2^n, m) block of columns."""
+    _native.rotate(amps, amps.size // amps.shape[0], [k for k, _ in gates],
+                   [g for _, g in gates])
 
 
 def _rotate_float_ref(amps, gates):
@@ -1109,7 +1109,7 @@ def test_x_sum_keeps_signed_zeros_and_non_finite_entries_bitwise(n):
     cplx.real, cplx.imag = parts
     for amps in (parts[0].copy(), cplx):
         want = _x_sum_float_ref(amps, n)
-        assert _x_sum(amps, n).tobytes() == want.tobytes()
+        assert _native.x_sum(amps, n).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("L", range(2, 9))
@@ -1156,10 +1156,10 @@ def test_x_sum_on_a_block_matches_each_column_bitwise(n, m):
     rng = np.random.default_rng(90 + 10 * n + m)
     real = rng.normal(size=(2 ** n, m))
     for block in (real, real + 1j * rng.normal(size=(2 ** n, m))):
-        got = _x_sum(block, n)
+        got = _native.x_sum(block, n)
         assert got.shape == block.shape and got.dtype == block.dtype
         for c in range(m):
-            want = _x_sum(block[:, c].copy(), n)
+            want = _native.x_sum(block[:, c].copy(), n)
             assert got[:, c].tobytes() == want.tobytes(), c
 
 
@@ -1169,7 +1169,7 @@ def test_x_sum_matches_two_add_form_bitwise(n):
     for amps in (rng.normal(size=2 ** n),
                  rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n),
                  np.where(rng.random(2 ** n) < 0.5, -0.0, 0.0)):
-        assert _x_sum(amps, n).tobytes() == _x_sum_ref(amps, n).tobytes()
+        assert _native.x_sum(amps, n).tobytes() == _x_sum_ref(amps, n).tobytes()
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ this file as a script to print the digests of the code as it stands.
 
 The kernel's per-step loop is compiled C; ``_reference_metropolis`` below is
 the numpy loop it replaced, and the compiled loop must match it bit for bit.
-Single-flip masks are drawn in C too (``_flip_draw``), and must match
+Single-flip masks are drawn in C too (``_native.flip_draw``), and must match
 ``1 << rng.integers(0, L)`` value for value and leave the generator where
 numpy leaves it.  numpy does not promise that ``integers`` keeps its stream
 across versions (NEP 19), so a numpy that changes it fails here.
@@ -24,9 +24,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinlab import _native
 from spinlab.qemcmc import (ClassicalSpinModel, QuantumProposalConfig,
-                            _flip_draw, _metropolis, ferromagnetic_chain,
-                            run_chain, spin_glass_instance)
+                            _metropolis, ferromagnetic_chain, run_chain,
+                            spin_glass_instance)
 from spinlab.statevector import apply_exp_x, apply_exp_zz, sample_indices
 from spinlab.vmc import (AmplitudeTableAnsatz, JastrowAnsatz,
                          run_metropolis_chains)
@@ -327,7 +328,7 @@ def _run_kernel(kernel, table, scale, start, n_chains, steps, burn_in,
         return rng.integers(0, table.size, size=(n, n_chains))
 
     if compiled_draw:
-        draw = _flip_draw(rng, L, n_chains)
+        draw = _native.flip_draw(rng, L, n_chains)
 
     records, accepted = kernel(table, scale, start, n_chains, steps, burn_in,
                                thinning, rng, draw, block, flip)
@@ -364,7 +365,7 @@ def test_compiled_loop_matches_numpy_reference(L, flip, scale, specials,
                                                thinning, extra, start, seed,
                                                compiled_draw):
     """With ``compiled_draw`` the compiled side draws its single-flip masks
-    by ``_flip_draw`` while the reference keeps numpy's draws."""
+    by ``_native.flip_draw`` while the reference keeps numpy's draws."""
     gen = np.random.default_rng(seed)
     table = gen.normal(size=2 ** L)
     # index 0 stays finite, so every start draw can end
@@ -420,7 +421,7 @@ def test_flip_draw_is_numpys_integers_stream(L, n_chains, steps, block,
         for rng in rngs:
             rng.integers(0, 10, size=3)
     compiled, numpy_rng = rngs
-    draw = _flip_draw(compiled, L, n_chains)
+    draw = _native.flip_draw(compiled, L, n_chains)
     for done in range(0, steps, block):
         n = min(block, steps - done)
         expected = 1 << numpy_rng.integers(0, L, size=(n, n_chains))
@@ -437,7 +438,7 @@ def test_flip_draw_regrows_its_buffer_for_a_larger_block(sizes):
     """A request for more rows than any before gets a buffer of its own
     size: every block has n full rows of numpy's masks."""
     compiled, numpy_rng = (np.random.default_rng(8) for _ in range(2))
-    draw = _flip_draw(compiled, 11, 3)
+    draw = _native.flip_draw(compiled, 11, 3)
     for n in sizes:
         np.testing.assert_array_equal(
             draw(n, None), 1 << numpy_rng.integers(0, 11, size=(n, 3)))
@@ -447,7 +448,7 @@ def test_flip_draw_regrows_its_buffer_for_a_larger_block(sizes):
 @pytest.mark.parametrize("L", [0, -1, 64, 100])
 def test_flip_draw_refuses_a_site_count_it_cannot_shift(L):
     with pytest.raises(ValueError, match="1 <= L <= 63"):
-        _flip_draw(np.random.default_rng(0), L, 2)
+        _native.flip_draw(np.random.default_rng(0), L, 2)
 
 
 # PCG64 steps its 128-bit state s to s * MULT + inc (MULT is PCG's default
@@ -488,7 +489,7 @@ def test_flip_draw_rejects_words_as_numpy_does(L, word, buffered):
         == word
     compiled = _pcg64_about_to_output(word, buffered)
     numpy_rng = _pcg64_about_to_output(word, buffered)
-    masks = _flip_draw(compiled, L, 3)(4, None)
+    masks = _native.flip_draw(compiled, L, 3)(4, None)
     np.testing.assert_array_equal(
         masks, 1 << numpy_rng.integers(0, L, size=(4, 3)))
     np.testing.assert_equal(compiled.bit_generator.state,

@@ -3,10 +3,12 @@
 spinlab runs from a source checkout, so nothing is compiled at import: the
 first Metropolis chain or X layer builds _kernels.c into the package's
 __pycache__ under a name keyed by the source and the compile command, and
-later calls and processes load that file.  The statevector entry points
-refuse an array they cannot pass by pointer before they load anything.
+later calls and processes load that file.  Only _native makes foreign
+calls, one wrapper per compiled entry point, and each wrapper refuses an
+array it cannot pass by pointer before it loads anything.
 """
 
+import ast
 import ctypes
 import fnmatch
 import os
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 import spinlab
-from spinlab import _native, statevector
+from spinlab import _native
 
 SRC = Path(spinlab.__file__).resolve().parents[1]
 ENV = {**os.environ,
@@ -115,23 +117,23 @@ def _cplx(*shape):
 ])
 def test_rotation_entry_point_refuses_a_bad_block(monkeypatch, amps, unit,
                                                    qubits, match):
-    monkeypatch.setattr(statevector, "library", _no_library)
+    monkeypatch.setattr(_native, "library", _no_library)
     gates = np.ones((len(qubits), 2, 2), dtype=complex)
     with pytest.raises(ValueError, match=match):
-        statevector._rotate(amps, unit, qubits, gates)
+        _native.rotate(amps, unit, qubits, gates)
 
 
 def test_rotation_entry_point_refuses_bad_gates_and_read_only_blocks(
         monkeypatch):
-    monkeypatch.setattr(statevector, "library", _no_library)
+    monkeypatch.setattr(_native, "library", _no_library)
     # too few gates, and (g00, g01) rows in place of 2x2 matrices
     for gates in (np.ones((1, 2, 2)), np.ones((2, 2)), np.ones((2, 4))):
         with pytest.raises(ValueError, match="one 2x2 gate per qubit"):
-            statevector._rotate(_cplx(8), 1, [0, 1], gates)
+            _native.rotate(_cplx(8), 1, [0, 1], gates)
     frozen = _cplx(8)
     frozen.flags.writeable = False
     with pytest.raises(ValueError, match="writable"):
-        statevector._rotate(frozen, 1, [0], np.ones((1, 2, 2)))
+        _native.rotate(frozen, 1, [0], np.ones((1, 2, 2)))
 
 
 @pytest.mark.parametrize("amps, n, match", [
@@ -144,9 +146,71 @@ def test_rotation_entry_point_refuses_bad_gates_and_read_only_blocks(
     (np.zeros((8, 2, 2)), 3, "2\\^3 entries"),
 ])
 def test_x_sum_entry_point_refuses_a_bad_vector(monkeypatch, amps, n, match):
-    monkeypatch.setattr(statevector, "library", _no_library)
+    monkeypatch.setattr(_native, "library", _no_library)
     with pytest.raises(ValueError, match=match):
-        statevector._x_sum(amps, n)
+        _native.x_sum(amps, n)
+
+
+def _block(**change):
+    """Arguments of one well-formed _native.metropolis block, 4 steps of 2
+    chains on a 16-entry table, with the given ones changed."""
+    return {"table": np.zeros(16), "scale": 1.0,
+            "moves": np.zeros((4, 2), dtype=np.int64),
+            "logu": np.zeros((4, 2)), "flip": True,
+            "idx": np.zeros(2, dtype=np.int64),
+            "records": np.zeros((2, 3), dtype=np.int64), "done": 0,
+            "burn_in": 0, "thinning": 1, **change}
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"table": np.zeros(16, dtype=np.float32)}, "table .* float64"),
+    ({"table": [0.0] * 16}, "table .* float64"),
+    ({"table": np.zeros(32)[::2]}, "table must be C-contiguous"),
+    ({"logu": np.zeros((2, 4)).T}, "logu must be C-contiguous"),
+    ({"logu": np.zeros((4, 2), dtype=np.float32)}, "logu .* float64"),
+    ({"idx": np.zeros(2, dtype=np.int32)}, "idx .* int64"),
+    ({"idx": _frozen(np.zeros(2, dtype=np.int64))}, "idx must be writable"),
+    ({"records": np.zeros((2, 3), dtype=np.int64).T},
+     "records must be C-contiguous"),
+    ({"records": _frozen(np.zeros((2, 3), dtype=np.int64))},
+     "records must be writable"),
+    ({"records": np.zeros((3, 2), dtype=np.int64)}, "row per chain"),
+    ({"records": np.zeros(6, dtype=np.int64)}, "row per chain"),
+    ({"idx": np.zeros(3, dtype=np.int64)}, "row per chain"),
+    ({"idx": np.zeros((2, 1), dtype=np.int64)}, "row per chain"),
+    ({"logu": np.zeros(8)}, "row per chain"),
+])
+def test_metropolis_entry_point_refuses_a_bad_array(monkeypatch, change,
+                                                    match):
+    monkeypatch.setattr(_native, "library", _no_library)
+    with pytest.raises(ValueError, match=match):
+        _native.metropolis(**_block(**change))
+
+
+@pytest.mark.parametrize("moves", [np.zeros((4, 3), dtype=np.int64),
+                                   np.zeros((4, 2)), np.zeros(8, dtype=int),
+                                   np.zeros((4, 2), dtype=bool)])
+def test_metropolis_entry_point_refuses_bad_moves(monkeypatch, moves):
+    monkeypatch.setattr(_native, "library", _no_library)
+    with pytest.raises(IndexError, match="4 x 2 integer moves"):
+        _native.metropolis(**_block(moves=moves))
+
+
+def test_metropolis_entry_point_casts_integer_moves_to_int64():
+    # int32 masks and a list of rows run as the int64 block they equal
+    runs = []
+    for moves in (np.ones((4, 2), dtype=np.int64),
+                  np.ones((4, 2), dtype=np.int32), [[1, 1]] * 4):
+        block = _block(table=np.arange(16.0), moves=moves)
+        taken = _native.metropolis(**block)
+        runs.append((taken, block["idx"].tolist(), block["records"].tolist()))
+    assert runs[0] == (2, [1, 1], [[1, 1, 1], [1, 1, 1]])
+    assert runs[1] == runs[2] == runs[0]
 
 
 _C_TYPES = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32,
@@ -167,6 +231,19 @@ def _is_pointer(argtype):
     return argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer)
 
 
+def _kernel_callers():
+    """spinlab_* name -> the module-level functions of _native that read it,
+    library, which declares the signatures, aside."""
+    callers = {}
+    for fn in ast.parse(Path(_native.__file__).read_text()).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name != "library":
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr.startswith("spinlab_")):
+                    callers.setdefault(node.attr, set()).add(fn.name)
+    return callers
+
+
 def test_every_kernel_has_its_ctypes_signature_declared():
     # undeclared, ctypes passes a Python int as a C int: a 64-bit pointer or
     # count would be cut to 32 bits
@@ -175,7 +252,13 @@ def test_every_kernel_has_its_ctypes_signature_declared():
     assert {name for name, _, _ in signatures} >= {
         "spinlab_metropolis", "spinlab_flip_masks", "spinlab_rotate",
         "spinlab_x_sum"}
+    # and each is called from one checked wrapper, and from nowhere else
+    callers = _kernel_callers()
+    assert set(callers) == {name for name, _, _ in signatures}
     for name, ret, params in signatures:
+        assert len(callers[name]) == 1, (name, callers[name])
+        caller, = callers[name]
+        assert not caller.startswith("_"), (name, caller)
         fn = getattr(lib, name)
         assert fn.restype is _C_TYPES[ret], name
         assert fn.argtypes is not None, name
@@ -185,6 +268,18 @@ def test_every_kernel_has_its_ctypes_signature_declared():
                 assert _is_pointer(argtype), (name, param)
             else:
                 assert argtype is _C_TYPES[param.split()[-2]], (name, param)
+
+
+def test_only_native_touches_ctypes_or_the_library():
+    # the calling convention (ctypes, an array's .ctypes pointer, library())
+    # is known in one module; every other one calls _native's wrappers
+    package = Path(_native.__file__).parent
+    hits = [f"{path.name}:{k}: {line.strip()}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "_native.py"
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"ctypes|library\(", line)]
+    assert hits == []
 
 
 def test_source_or_flag_edit_builds_a_new_library(tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from spinlab import qemcmc
+from spinlab import _native, qemcmc
 from spinlab.qemcmc import (
     CHEBYSHEV_MIN_QUBITS,
     MAX_EXACT_QUBITS,
@@ -382,8 +382,8 @@ class TestProposeQuantum:
 
     def test_trotter_chain_calls_the_compiled_x_rotation(self, monkeypatch):
         calls = []
-        rotate = qemcmc._rotate
-        monkeypatch.setattr(qemcmc, "_rotate",
+        rotate = _native.rotate
+        monkeypatch.setattr(_native, "rotate",
                             lambda *a: calls.append(a[1]) or rotate(*a))
         m = spin_glass_instance(6, np.random.default_rng(14))
         cfg = QuantumProposalConfig(gamma_range=(0.2, 0.6),
@@ -858,6 +858,16 @@ class TestBuildProposalMatrix:
         with pytest.raises(CapacityError):
             build_proposal_matrix(m, cfg, K=2, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_fewer_than_one_draw_refused(self, K):
+        # unchecked, K = 0 gives an all-nan matrix and K < 0 a misleading
+        # row-sum error
+        m = ferromagnetic_chain(4)
+        cfg = QuantumProposalConfig.for_model(m)
+        match = rf"\bK must be at least 1, got {K}"
+        with pytest.raises(ValueError, match=match):
+            build_proposal_matrix(m, cfg, K=K, rng=np.random.default_rng(0))
+
     def test_classical_baseline_matrices(self):
         sf = single_flip_matrix(3).proposal
         assert np.allclose(sf.sum(axis=1), 1.0)
@@ -872,6 +882,16 @@ class TestBuildProposalMatrix:
             TransitionMatrix(proposal=np.array([[0.5, 0.2], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             TransitionMatrix(proposal=np.array([[1.5, -0.5], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_proposal_refused(self, bad):
+        # nan passes the sign and row-sum comparisons, so it is named first
+        with pytest.raises(ValueError, match="entries must be finite"):
+            TransitionMatrix(proposal=np.full((2, 2), bad))
+        t = np.full((2, 2), 0.5)
+        t[1, 0] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            TransitionMatrix(proposal=t)
 
 
 class TestAssembleKernel:
@@ -1047,6 +1067,22 @@ class TestAutocorrelationTime:
         p = np.tile(pi, (4, 1))
         f = np.array([1.0, -2.0, 0.5, 3.0])
         assert exact_autocorrelation_time(p, pi, f) == pytest.approx(0.5)
+
+    def test_exact_time_refuses_an_underflowed_pi(self):
+        # at beta = 400, 14 of the 16 Boltzmann weights underflow to zero;
+        # unchecked, eigh stops with "Eigenvalues did not converge"
+        m = ferromagnetic_chain(4)
+        p = assemble_kernel(single_flip_matrix(4), m, 400.0)
+        pi = boltzmann_distribution(m, 400.0)
+        with pytest.raises(ValueError, match=r"\bpi\b.* 14 of 16 are not"):
+            exact_autocorrelation_time(p.kernel, pi, energy_table(m))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_exact_time_refuses_a_non_finite_or_negative_pi(self, bad):
+        pi = np.array([0.1, 0.2, 0.3, 0.4])
+        pi[2] = bad
+        with pytest.raises(ValueError, match=r"\bpi\b.* 1 of 4 are not"):
+            exact_autocorrelation_time(np.tile(pi, (4, 1)), pi, np.ones(4))
 
     def test_sampled_tau_matches_exact_kernel_single_flip(self):
         # ten glass instances; worst spread observed is 21% on the instance

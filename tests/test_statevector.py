@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from spinlab import statevector
+from spinlab import _native, statevector
 from spinlab.pauli import PauliString, PauliSum
 from spinlab.statevector import (
     CapacityError,
@@ -20,7 +20,6 @@ from spinlab.statevector import (
     _guide_table,
     _inverse_cdf,
     _normalized_cdf,
-    _rotate,
     all_spin_values,
     apply_exp_x,
     apply_exp_zz,
@@ -236,9 +235,9 @@ class TestRotationKernel:
         qubits, gates = zip(*gates)
         block = rng.normal(size=(2 ** n, m)) + 1j * rng.normal(size=(2 ** n, m))
         cols = [block[:, c].copy() for c in range(m)]
-        _rotate(block, m, qubits, gates)
+        _native.rotate(block, m, qubits, gates)
         for c, col in enumerate(cols):
-            _rotate(col, 1, qubits, gates)
+            _native.rotate(col, 1, qubits, gates)
             assert np.array_equal(block[:, c], col)
 
     def test_flat_row_stack_matches_separate_rows_bitwise(self):
@@ -249,9 +248,9 @@ class TestRotationKernel:
         qubits, gates = zip(*gates)
         stack = rng.normal(size=(m, 2 ** n)) + 1j * rng.normal(size=(m, 2 ** n))
         rows = [row.copy() for row in stack]
-        _rotate(stack.reshape(-1), 1, qubits, gates)
+        _native.rotate(stack.reshape(-1), 1, qubits, gates)
         for r, row in enumerate(rows):
-            _rotate(row, 1, qubits, gates)
+            _native.rotate(row, 1, qubits, gates)
             assert np.array_equal(stack[r], row)
 
 
@@ -623,7 +622,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_trotter_without_x_terms_is_the_diagonal_phase(self, steps):
-        # no X term leaves _rotate no qubit to rotate
+        # no X term leaves _native.rotate no qubit to rotate
         rng = np.random.default_rng(34)
         s = random_state(3, rng)
         h = PauliSum.from_terms(3, [(-0.7, PauliString("ZZI")),
@@ -638,8 +637,8 @@ class TestEvolve:
 
     def test_trotter_calls_the_compiled_x_rotation(self, monkeypatch):
         calls = []
-        rotate = statevector._rotate
-        monkeypatch.setattr(statevector, "_rotate",
+        rotate = _native.rotate
+        monkeypatch.setattr(_native, "rotate",
                             lambda *a: calls.append(a[2]) or rotate(*a))
         s = random_state(3, np.random.default_rng(35))
         h = TFIMModel(L=3, J=0.9, Gamma=1.4).as_pauli_sum()
@@ -700,6 +699,24 @@ class TestDump:
         with pytest.raises(ValueError, match=r"header 60 read from 8 bytes"):
             load_state(Recording(raw))
         assert sizes == [8]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_round_trip_is_bitwise_at_small_sizes(self, n):
+        s = random_state(n, np.random.default_rng(40 + n))
+        buf = io.BytesIO()
+        dump_state(s, buf)
+        assert len(buf.getvalue()) == 8 + 16 * 2 ** n
+        buf.seek(0)
+        back = load_state(buf)
+        assert back.n_qubits == n
+        assert back.amplitudes.tobytes() == s.amplitudes.tobytes()
+
+    def test_zero_qubit_state_not_dumped(self):
+        # load_state refuses that header, so dump_state writes nothing
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="at least one qubit"):
+            dump_state(StateVector(np.array([1.0 + 0j])), buf)
+        assert buf.getvalue() == b""
 
     def test_header_of_zero_qubits_rejected(self):
         # init_plus and basis_state refuse a 0-qubit state too
