@@ -1,12 +1,12 @@
-/* spinlab's compiled kernels: the Metropolis accept-and-record loop of
-   spinlab.qemcmc._metropolis and its single-flip move draw, and the
-   single-qubit gate layer and transverse-field sum sum_k X_k of
-   spinlab.statevector.
+/* spinlab's compiled kernels: the Metropolis accept-and-record loop, its
+   single-flip move draw, the single-qubit gate layer and the
+   transverse-field sum sum_k X_k.  Their only callers are spinlab._native's
+   four wrappers (metropolis, flip_draw, rotate, x_sum); each checks every
+   array's dtype, contiguity and size before it passes a pointer.
 
    spinlab._native builds this with -O2 -ffp-contract=off and without
    -ffast-math, so every sum and product rounds once, as numpy's do (and
-   1.0 * d is d bitwise, nan and -inf included).  The Python callers check
-   each array's dtype, contiguity and size before they pass a pointer. */
+   1.0 * d is d bitwise, nan and -inf included). */
 
 #include <stdint.h>
 

@@ -133,10 +133,10 @@ def x_sum(amps: np.ndarray, n: int) -> np.ndarray:
 
 
 def flip_draw(rng: np.random.Generator, L: int, n_chains: int):
-    """A qemcmc._metropolis draw of single-flip XOR masks on 1 <= L <= 63
-    sites: draw(n, idx) returns the next n rows of 1 << rng.integers(0, L),
-    bitwise and stream-wise numpy's for size=(n, n_chains), in one buffer of
-    its own that each call reuses, sized by the largest n asked for so far.
+    """A draw of single-flip XOR masks on 1 <= L <= 63 sites: draw(n, idx)
+    returns the next n rows of 1 << rng.integers(0, L), bitwise and
+    stream-wise numpy's for size=(n, n_chains), in one buffer of its own
+    that each call reuses, sized by the largest n asked for so far.
     """
     if not 1 <= L <= 63:
         raise ValueError(f"single-flip masks need 1 <= L <= 63 sites, "

@@ -18,7 +18,6 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 COEFF_CUTOFF = 1e-12
 
@@ -215,21 +214,6 @@ class PauliSum:
         for flip, block in self._flip_blocks().items():
             flat[(idx ^ np.uint64(flip)) * np.uint64(dim) + idx] = block
         return mat
-
-    def sparse(self) -> scipy.sparse.csr_array:
-        """The entries of :meth:`dense` as a CSR matrix, real when none of
-        them has an imaginary part."""
-        dim = 2 ** self.n_qubits
-        idx = np.arange(dim, dtype=np.uint64)
-        blocks = self._flip_blocks() or {0: np.zeros(dim, complex)}
-        data = np.concatenate(list(blocks.values()))
-        if not data.imag.any():
-            data = data.real
-        rows = np.concatenate([idx ^ np.uint64(f) for f in blocks])
-        cols = np.tile(idx, len(blocks))
-        return scipy.sparse.csr_array(
-            (data, (rows.astype(np.intp), cols.astype(np.intp))),
-            shape=(dim, dim))
 
 
 def one_norm(h: PauliSum) -> float:

@@ -394,7 +394,7 @@ def _quantum_step(v_table: np.ndarray, cfg: QuantumProposalConfig,
                     for p, x in zip((np.abs(cols) ** 2).T, u)])
     if cfg.mix_single_flip > 0.0:
         take_flip = rng.random(idx.size) < cfg.mix_single_flip
-        flips = idx ^ (1 << rng.integers(0, L, size=idx.size))
+        flips = idx ^ _native.flip_draw(rng, L, idx.size)(1, idx)[0]
         out = np.where(take_flip, flips, out)
     return out
 
@@ -559,6 +559,19 @@ class TransitionMatrix:
         if np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-10:
             raise ValueError("proposal rows must sum to 1")
         object.__setattr__(self, "proposal", t)
+        if self.kernel is not None:
+            p = np.asarray(self.kernel, dtype=float)
+            if p.shape != t.shape or not np.all(np.isfinite(p)):
+                raise ValueError(f"kernel must be finite and of the "
+                                 f"proposal's shape {t.shape}, got {p.shape}")
+            object.__setattr__(self, "kernel", p)
+        if self.stationary is not None:
+            pi = np.asarray(self.stationary, dtype=float)
+            if (pi.shape != t.shape[:1] or not np.all(np.isfinite(pi))
+                    or np.any(pi < 0)):
+                raise ValueError(f"stationary must be finite, nonnegative "
+                                 f"and of shape {t.shape[:1]}, got {pi.shape}")
+            object.__setattr__(self, "stationary", pi)
 
 
 def build_proposal_matrix(model: ClassicalSpinModel,

@@ -3,7 +3,7 @@
 Provides circuit layers for the transverse-field Ising chain, expectation
 values of Pauli sums, projective Z-basis sampling, exact diagonalization,
 Lanczos ground states, and real-time evolution.  Everything is capped at
-desk scale: 26 qubits for vectors, 12 for dense and sparse matrices.
+desk scale: 26 qubits for vectors, 12 for dense matrices and Lanczos.
 
 Every single-qubit gate layer (the HVA X layer, both Trotter steps and the
 measurement-basis rotations) is one call of the compiled _native.rotate,
@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import BinaryIO
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import _native
@@ -356,35 +355,46 @@ def exact_spectrum(h: PauliSum, k: int = 1) -> list[tuple[float, StateVector]]:
 
 
 def ground_state(h: PauliSum) -> tuple[float, StateVector]:
-    """Lowest eigenpair by Lanczos (ARPACK ``eigsh``) on ``h.sparse()``.
+    """Lowest eigenpair by Lanczos (ARPACK ``eigsh``) on the flip-mask
+    action ``H x = sum_f (block_f * x)[idx ^ f]`` of ``h._flip_blocks()``.
 
     A complex H = A + iB runs as the real symmetric [[A, -B], [B, A]], whose
-    spectrum is H's with every level doubled; its eigenvector (x, y) is
+    spectrum is H's with every level doubled: the matvec maps (x, y) to the
+    real and imaginary parts of H(x + iy), and the eigenvector (x, y) is
     x + iy here.  The start vector is a fixed uniform draw: runs repeat, and
     unlike a constant vector it has weight in every symmetry sector (from
     all ones, an open L = 9 chain with Gamma < 0 converged to the wrong
-    parity).  E0 is the eigenvector's Rayleigh quotient, which lies closer
-    to the dense ``eigh`` value than ARPACK's Ritz value; the eigenvector
-    takes ``exact_spectrum``'s sign rule.  In a degenerate ground level it
-    is some unit vector of that level, not always the dense one.
+    parity).  E0 is the eigenvector's Rayleigh quotient through the matvec,
+    which lies closer to the dense ``eigh`` value than ARPACK's Ritz value;
+    the eigenvector takes ``exact_spectrum``'s sign rule.  In a degenerate
+    ground level it is some unit vector of that level, not always the dense
+    one.
     """
     if h.n_qubits > MAX_DENSE_QUBITS:
         raise CapacityError(f"ground state capped at {MAX_DENSE_QUBITS} qubits")
     _check_hermitian(h)
     if not h.terms:  # H = 0, and ARPACK stops on H v0 = 0
         return 0.0, basis_state(h.n_qubits, 0)
-    mat = h.sparse()
-    dim = mat.shape[0]
-    if np.iscomplexobj(mat.data):
-        mat = scipy.sparse.bmat([[mat.real, -mat.imag], [mat.imag, mat.real]],
-                                format="csr")
-    v0 = np.random.default_rng(0).random(mat.shape[0])
-    _, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", v0=v0)
+    dim = 2 ** h.n_qubits
+    idx = np.arange(dim, dtype=np.intp)
+    blocks = h._flip_blocks()
+    real = not any(b.imag.any() for b in blocks.values())
+    gathers = [(idx ^ f, b.real if real else b) for f, b in blocks.items()]
+
+    def matvec(v):
+        x = v if real else v[:dim] + 1j * v[dim:]
+        y = np.zeros_like(x)
+        for rows, b in gathers:
+            y += (b * x)[rows]
+        return y if real else np.concatenate([y.real, y.imag])
+
+    n = dim if real else 2 * dim
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec, dtype=float)
+    v0 = np.random.default_rng(0).random(n)
+    _, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0)
     v = vecs[:, 0]
-    e0 = float(v @ (mat @ v)) / float(v @ v)
-    if v.size > dim:
-        v = v[:dim] + 1j * v[dim:]
-    return e0, _sign_fixed(v)
+    e0 = float(v @ matvec(v)) / float(v @ v)
+    return e0, _sign_fixed(v if real else v[:dim] + 1j * v[dim:])
 
 
 def _split_diagonal_x(h: PauliSum) -> tuple[PauliSum, PauliSum]:

@@ -179,18 +179,6 @@ class TestPauliSum:
             with pytest.raises(ValueError, match="sum is not Hermitian"):
                 solve(h)
 
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_sparse_holds_the_dense_entries(self, n):
-        rng = np.random.default_rng(n)
-        terms = [(complex(rng.normal(), rng.normal()),
-                  PauliString("".join(rng.choice(list("IXYZ"), size=n))))
-                 for _ in range(12)]
-        for h in (PauliSum.from_terms(n, terms), PauliSum.from_terms(n, []),
-                  TFIMModel(L=n, J=0.7, Gamma=1.3).as_pauli_sum()):
-            dense, mat = h.dense(), h.sparse()
-            assert mat.dtype == (float if not dense.imag.any() else complex)
-            assert mat.toarray().astype(complex).tobytes() == dense.tobytes()
-
     def test_one_norm_skips_identity(self):
         s = PauliSum.from_terms(2, [(5.0, PauliString("II")),
                                     (3.0, PauliString("XI")),

@@ -893,6 +893,28 @@ class TestBuildProposalMatrix:
         with pytest.raises(ValueError, match="entries must be finite"):
             TransitionMatrix(proposal=t)
 
+    # a nan kernel read as irreducible (delta nan), and a 3x3 kernel beside a
+    # 2x2 proposal gave delta 0
+    @pytest.mark.parametrize("kernel", [np.full((2, 2), np.nan),
+                                        np.full((2, 2), np.inf),
+                                        np.full((3, 3), 1 / 3),
+                                        np.full(4, 0.5)],
+                             ids=["nan", "inf", "3x3", "flat"])
+    def test_bad_kernel_refused(self, kernel):
+        with pytest.raises(ValueError, match="kernel must be finite"):
+            TransitionMatrix(np.full((2, 2), 0.5), kernel=kernel)
+
+    @pytest.mark.parametrize("pi", [np.full(3, 1 / 3), np.full((2, 1), 0.5),
+                                    np.array([np.nan, 1.0]),
+                                    np.array([np.inf, 0.0]),
+                                    np.array([1.5, -0.5])],
+                             ids=["length", "column", "nan", "inf",
+                                  "negative"])
+    def test_bad_stationary_refused(self, pi):
+        with pytest.raises(ValueError, match="stationary must be finite"):
+            TransitionMatrix(np.full((2, 2), 0.5), kernel=np.eye(2),
+                             stationary=pi)
+
 
 class TestAssembleKernel:
     def test_infinite_temperature_kernel_equals_proposal(self):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
@@ -535,20 +536,34 @@ class TestGroundState:
         _assert_ground_state_matches_dense(
             TFIMModel(L, J, Gamma, periodic).as_pauli_sum())
 
-    def test_sum_with_y_letters_matches_dense(self):
+    @staticmethod
+    def _y_letter_sum() -> PauliSum:
         rng = np.random.default_rng(3)
         terms = [(rng.normal(),
                   PauliString("".join(rng.choice(list("IXYZ"), size=6))))
                  for _ in range(12)]
-        h = PauliSum.from_terms(6, terms)
+        return PauliSum.from_terms(6, terms)
+
+    def test_sum_with_y_letters_matches_dense(self):
+        h = self._y_letter_sum()
         # odd Y counts give imaginary entries, so the complex path runs
-        assert h.sparse().dtype == complex
+        assert h.dense().imag.any()
         (e0, _), (e1, _) = exact_spectrum(h, 2)
         assert e1 - e0 > 0.1  # a unique ground state to compare
         _assert_ground_state_matches_dense(h)
 
     def test_sum_without_terms(self):
         _assert_ground_state_matches_dense(PauliSum.from_terms(3, []))
+
+    def test_ground_state_builds_no_sparse_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ground_state built a sparse matrix")
+
+        for name in ("csr_matrix", "csr_array", "coo_matrix", "coo_array",
+                     "bmat"):
+            monkeypatch.setattr(scipy.sparse, name, refuse)
+        for h in (TFIMModel(8, 1.0, 1.0).as_pauli_sum(), self._y_letter_sum()):
+            _assert_ground_state_matches_dense(h)
 
 
 # ---------------------------------------------------------------------------
