@@ -111,7 +111,7 @@ def _bit_action(p: PauliString,
 
 
 def _string_values(masks, indices) -> np.ndarray:
-    """(n_masks, n_indices) array of the signs (-1)^popcount(index & mask)."""
+    """(n_masks, n_indices) array of (-1)^popcount(index & mask)."""
     idx = np.asarray(indices, dtype=np.uint64)
     masks = np.asarray(masks, dtype=np.uint64)
     parity = np.bitwise_count(idx[None, :] & masks[:, None]) & 1

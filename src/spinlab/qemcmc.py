@@ -49,8 +49,8 @@ from scipy.special import jv
 
 from . import _native
 from .pauli import _number_array, _positive_int
-from .statevector import (CapacityError, SpinConfiguration, _inverse_cdf,
-                          _normalized_cdf, _x_gate, all_spin_values)
+from .statevector import (CapacityError, SpinConfiguration, _normalized_cdf,
+                          _x_gate, all_spin_values)
 
 # A time cap, not a memory cap.  One Chebyshev proposal step (fully
 # connected glass, 4 chains, median of 5 draws, one BLAS thread on a 2-core
@@ -390,7 +390,7 @@ def _quantum_step(v_table: np.ndarray, cfg: QuantumProposalConfig,
     else:
         cols = _start_columns(v_table, cfg, g, t, idx)
     u = rng.random(idx.size)
-    out = np.array([_inverse_cdf(_normalized_cdf(p), None, x)
+    out = np.array([np.searchsorted(_normalized_cdf(p), x, side="right")
                     for p, x in zip((np.abs(cols) ** 2).T, u)])
     if cfg.mix_single_flip > 0.0:
         take_flip = rng.random(idx.size) < cfg.mix_single_flip

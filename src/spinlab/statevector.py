@@ -11,8 +11,8 @@ with the bits of numpy's general 2x2 form for each gate spinlab builds.
 sum_k X_k, on a vector or a block of columns, is the compiled _native.x_sum.
 The ZZ phase layer stays in numpy: a fully complex product may be fused
 into a multiply-add by numpy and not by the library, and then the two round
-apart.  Z-basis draws are inverse-CDF searches that an exact guide table
-shortcuts when there are at least as many draws as basis states.
+apart.  A Z-basis draw is one inverse-CDF search per shot; the shot
+estimators in vqe draw outcome counts instead where those are all they read.
 
 Spin encoding: basis index bit k = 0 means spin +1 on site k, bit 1 means
 spin -1 (qubit k <-> spin k).
@@ -238,40 +238,6 @@ def apply_pauli_sum(s: StateVector, h: PauliSum) -> np.ndarray:
     return out
 
 
-def _guide_table(cum: np.ndarray, n_draws: int) -> np.ndarray | None:
-    """Inverse-CDF guide table for n_draws uniforms on the CDF cum.
-
-    G buckets, the smallest power of two >= n_draws, so bucket b = floor(u G)
-    holds exactly the u in [b/G, (b+1)/G).  Entry b is the answer
-    ``searchsorted(cum, u, "right")`` shared by every u in the bucket, or -1
-    when a CDF value lies strictly inside it (Devroye, Non-Uniform Random
-    Variate Generation, 1986, III.2.4).  None with fewer draws than CDF
-    entries: building the table would then cost more than the searches it
-    saves.  The table takes at most twice the memory of the uniforms.
-    """
-    if n_draws < cum.size:
-        return None
-    G = 1 << (n_draws - 1).bit_length()
-    scaled = cum * G  # exact: G is a power of two
-    up = np.ceil(scaled)
-    # cum <= b/G  <=>  ceil(cum G) <= b
-    table = np.cumsum(np.bincount(up.astype(np.intp), minlength=G + 1)[:G])
-    table[scaled[scaled != up].astype(np.intp)] = -1
-    return table
-
-
-def _inverse_cdf(cum: np.ndarray, table: np.ndarray | None,
-                 u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, u, side="right")``, read off the guide table
-    where the bucket of u answers alone."""
-    if table is None:
-        return np.searchsorted(cum, u, side="right")
-    idx = table[(u * table.size).astype(np.intp)]
-    miss = np.flatnonzero(idx < 0)
-    idx[miss] = np.searchsorted(cum, u[miss], side="right")
-    return idx
-
-
 def _normalized_cdf(probs: np.ndarray) -> np.ndarray:
     """Cumulative probabilities scaled so the last entry is exactly 1."""
     cum = np.cumsum(probs)
@@ -286,7 +252,7 @@ def sample_indices(s: StateVector, M: int, rng: np.random.Generator) -> np.ndarr
     if M < 1:
         raise ValueError("need at least one shot")
     cum = _normalized_cdf(s.probabilities())
-    return _inverse_cdf(cum, _guide_table(cum, M), rng.random(M))
+    return np.searchsorted(cum, rng.random(M), side="right")
 
 
 def sample_z(s: StateVector, M: int, rng: np.random.Generator) -> list[SpinConfiguration]:

@@ -76,7 +76,7 @@ class AmplitudeTableAnsatz:
     """Arbitrary wavefunction given by its full amplitude table.
 
     Exists so exact eigenvectors can be fed to the VMC estimators; amplitudes
-    may carry signs or phases.  Sampling weights use |amplitude|^2.
+    may be negative or complex.  Sampling weights use |amplitude|^2.
     """
 
     L: int

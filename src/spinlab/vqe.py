@@ -5,10 +5,12 @@ transverse-field Ising Hamiltonian, starting from the all-plus state.  Energy
 estimation emulates projective measurement of qubit-wise commuting groups;
 every string in a group is read off the same shot record, and repeated
 estimates on one state (``estimate_energy_pauli_batch``) share each group's
-per-state tables, built once per call: the CDF of the rotated state, its
-guide table and, with at least 2^L shots, the +-1 sign of every member
-string on every basis index.  Optimizers work on the exact state vector;
-shot noise enters only through explicit injection.
+per-state tables, built once per call: the CDF of the rotated state and,
+with at least 2^L shots, the group's weighted value on every basis index,
+read against one multinomial count vector in place of the shots.  The
+amplitude-ratio estimator draws only its two counts, by conditional
+binomials.  Optimizers work on the exact state vector; shot noise enters
+only through explicit injection.
 """
 
 from __future__ import annotations
@@ -27,16 +29,13 @@ from .statevector import (
     SpinConfiguration,
     TFIMModel,
     _check_hermitian,
-    _guide_table,
     _hva_layer,
-    _inverse_cdf,
     _normalized_cdf,
     _zz_levels,
     apply_pauli_sum,
     expectation,
     init_plus,
     rotate_to_basis,
-    sample_indices,
 )
 
 
@@ -174,42 +173,70 @@ def estimate_energy_pauli(s: StateVector, h: PauliSum,
     return estimate_energy_pauli_batch(s, h, groups, plan, [rng])[0]
 
 
+def _check_estimator(s: StateVector, h: PauliSum, groups: MeasurementGroups,
+                     plan: ShotPlan) -> None:
+    if h.n_qubits != s.n_qubits:
+        raise ValueError("operator size does not match state")
+    if len(plan.shots_per_group) != groups.n_groups:
+        raise ValueError("plan does not match the number of groups")
+    _check_hermitian(h)
+
+
+def _group_values(h: PauliSum, grp: Sequence[int]) -> np.ndarray:
+    """w_g(x) = sum_{i in g} c_i P_i(x) on every basis index x.
+
+    One string at a time keeps the work arrays at 2^n, not |g| * 2^n.
+    """
+    idx = np.arange(2 ** h.n_qubits, dtype=np.uint64)
+    weighted = np.zeros(idx.size)
+    for i in grp:
+        coeff, string = h.terms[i]
+        weighted += coeff.real * _string_values([string.mask()], idx)[0]
+    return weighted
+
+
 def estimate_energy_pauli_batch(s: StateVector, h: PauliSum,
                                 groups: MeasurementGroups, plan: ShotPlan,
                                 rngs: Sequence[np.random.Generator]
                                 ) -> list[EnergyEstimate]:
     """One ``estimate_energy_pauli`` per generator in rngs, bitwise equal.
 
-    Each group's rotated CDF and inverse-CDF guide table are built once for
-    all repetitions, and with at least 2^L shots so is the +-1 sign of every
-    member string on every basis index, which the draws then gather.  Only
-    one rotated state is alive at a time.  Repetition r then draws every
-    group in order from rngs[r], the stream the single call consumes, so a
-    generator listed n times serves n single calls in a row on it.
+    A group with M >= 2^L shots draws one multinomial count vector n over
+    its 2^L outcomes, and takes the mean n.w / M and the ddof = 1 variance
+    sum_x n_x (w_x - mean)^2 / (M - 1) from its ``_group_values`` w.  Below
+    2^L shots it draws every shot by inverse CDF and gathers the member
+    parities of the drawn indices, since numpy's multinomial walks all 2^L
+    outcomes whatever M is.  Each group's tables are built once for all
+    repetitions, with one rotated state alive at a time.  Repetition r then
+    draws every group in order from rngs[r], the stream the single call
+    consumes, so a generator listed n times serves n single calls in a row.
     """
-    if len(plan.shots_per_group) != groups.n_groups:
-        raise ValueError("plan does not match the number of groups")
-    _check_hermitian(h)
+    _check_estimator(s, h, groups, plan)
     tables = []
     for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):
         cum = _normalized_cdf(rotate_to_basis(s, basis).probabilities())
-        guide = _guide_table(cum, m)
         coeffs = np.array([h.terms[i][0].real for i in grp])
         masks = np.array([h.terms[i][1].mask() for i in grp], dtype=np.uint64)
-        # (|g|, 2^L), never larger than the (|g|, m) signs of one draw
-        signs = None if guide is None else _string_values(
-            masks, np.arange(cum.size))
-        tables.append((m, cum, guide, coeffs, masks, signs))
+        if m >= cum.size:  # outcome probabilities and w_g, for counts
+            tables.append((m, np.diff(cum, prepend=0.0), _group_values(h, grp),
+                           coeffs, masks))
+        else:
+            tables.append((m, cum, None, coeffs, masks))
     out = []
     for rng in rngs:
         mean, var_of_mean = h.identity_coefficient().real, 0.0
-        for m, cum, guide, coeffs, masks, signs in tables:
-            idx = _inverse_cdf(cum, guide, rng.random(m))
-            weighted = coeffs @ (_string_values(masks, idx) if signs is None
-                                 else signs.take(idx, axis=1))
-            mean += float(weighted.mean())
-            if m > 1:
-                var_of_mean += float(weighted.var(ddof=1)) / m
+        for m, dist, w, coeffs, masks in tables:
+            if w is None:
+                idx = np.searchsorted(dist, rng.random(m), side="right")
+                weighted = coeffs @ _string_values(masks, idx)
+                g_mean = float(weighted.mean())
+                g_var = float(weighted.var(ddof=1)) if m > 1 else 0.0
+            else:
+                counts = rng.multinomial(m, dist)
+                g_mean = float(counts @ w) / m
+                g_var = float(counts @ (w - g_mean) ** 2) / (m - 1)
+            mean += g_mean
+            var_of_mean += g_var / m
         out.append(EnergyEstimate(mean=mean, stderr=float(np.sqrt(var_of_mean)),
                                   shots_used=plan.total))
     return out
@@ -228,18 +255,11 @@ def predicted_error(s: StateVector, h: PauliSum, plan: ShotPlan,
     """
     if groups is None:
         groups = group_qubitwise(h)
-    if len(plan.shots_per_group) != groups.n_groups:
-        raise ValueError("plan does not match the number of groups")
-    _check_hermitian(h)
-    idx = np.arange(s.amplitudes.size, dtype=np.uint64)
+    _check_estimator(s, h, groups, plan)
     var = 0.0
     for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):
         probs = rotate_to_basis(s, basis).probabilities()
-        # one string at a time keeps the work arrays at 2^n, not |g| * 2^n
-        weighted = np.zeros(idx.size)
-        for i in grp:
-            coeff, string = h.terms[i]
-            weighted += coeff.real * _string_values([string.mask()], idx)[0]
+        weighted = _group_values(h, grp)
         var += float(probs @ (weighted - probs @ weighted) ** 2) / m
     return float(np.sqrt(var))
 
@@ -432,17 +452,28 @@ def amplitude_ratio_estimate(s: StateVector, x: SpinConfiguration,
                              rng: np.random.Generator) -> RatioEstimate:
     """|<x'|psi>|^2 / |<x|psi>|^2 from empirical Z-basis frequencies.
 
+    Of M shots only the counts n(x) and n(x') are read, so only they are
+    drawn: n(x) ~ Bin(M, p_x), then n(x') ~ Bin(M - n(x), p_x' / (1 - p_x)),
+    the joint law of two multinomial counts (Devroye, Non-Uniform Random
+    Variate Generation, 1986, XI.1) in O(2^L) time and memory for any M.
     The error bar comes from multinomial delta-method propagation.  A zero
     denominator count marks the estimate undefined instead of raising.
     """
     if M < 1:
         raise ValueError("need at least one shot")
-    shots = sample_indices(s, M, rng)
+    for name, config in (("x", x), ("x_new", x_new)):
+        if len(config.spins) != s.n_qubits:
+            raise ValueError(f"{name} has {len(config.spins)} sites, the "
+                             f"state {s.n_qubits} qubits")
+    probs = np.diff(_normalized_cdf(s.probabilities()), prepend=0.0)
     ix, iy = x.to_index(), x_new.to_index()
-    n_den = int(np.count_nonzero(shots == ix))
+    n_den = int(rng.binomial(M, probs[ix]))
     if ix == iy:
         return RatioEstimate(1.0, 0.0, n_den > 0, n_den, n_den)
-    n_num = int(np.count_nonzero(shots == iy))
+    n_num = 0
+    if n_den < M:  # so p_x < 1; the conditional p_x' may round above 1
+        n_num = int(rng.binomial(M - n_den,
+                                 min(1.0, probs[iy] / (1.0 - probs[ix]))))
     if n_den == 0:
         return RatioEstimate(np.nan, np.nan, False, n_num, 0)
     p = n_den / M
@@ -461,6 +492,9 @@ def shots_for_ratio_precision(s: StateVector, x: SpinConfiguration,
     Doubles M from 64 until stderr/ratio <= rel_target with a defined,
     nonzero estimate; returns the first sufficient M, or 10^8 if none is.
     """
+    if not 0 < rel_target < np.inf:  # nan fails too
+        raise ValueError(f"rel_target must be positive and finite, "
+                         f"got {rel_target}")
     m = 64
     while m <= 10 ** 8:
         est = amplitude_ratio_estimate(s, x, x_new, m, rng)

@@ -345,15 +345,17 @@ def test_10_rerun_determinism(criterion_report, tmp_path):
 # claims to keep results the same must keep these bytes; a deliberate change
 # of output re-records them and says why.
 RERUN_CSV_SHA256 = {
-    # re-recorded for Lanczos on the flip-mask action: its last-bit E0 and
-    # vector move the exact_eigenvector rows, which sit near 1e-16
-    "fig2": "4c921bbc261b09e7bf61215f55f394412230cde939fbd5aa74032c95ff0ae7de",
+    # re-recorded for the counts path: its 50- and 100-shot Pauli cells at
+    # L = 4 reach 2^L shots and draw one multinomial per group
+    "fig2": "f6b57eb5bf01df854bfef0048d3d39d9e6657ca9f43ef772d66afddebe354a7e",
     # re-recorded for the flip-sector proposal matrix and the symmetric
     # gap solver: only delta moved, by at most 1e-14
     "gap-sweep":
         "17d04ed49a765d46fcb3ffeb01e53e207a3bf33d90e6aed0d7118704878d38b4",
+    # re-recorded for the counts path: 100 shots per group at L = 4 reach
+    # 2^L and draw one multinomial per group
     "vqe-run":
-        "0a91eb1d6f45d26c592d2ebf92a897c1242eb97e8c0fe7525a71f6e825876947",
+        "701bda0abcf8f6eb43358e832b2ffb52ae7349d883a13b0dfa4bc8675c2cf927",
     "vmc-run":
         "5916131ebece9f23225062d50e3084b25168dd4a7ec3e85ecf610208a6612075",
     "qemcmc-run":

@@ -28,7 +28,8 @@ sampler that the proposal once had, as the reference for its draw.
 ``exact_autocorrelation_time`` and the dense ``build_proposal_matrix``.
 ``SAMPLING_DIGESTS`` pins ``run_sr_optimization`` and the grouped estimator
 with one generator listed five times, recorded before either built its
-per-state tables once.  The
+per-state tables once; the estimator's were re-recorded when it came to
+draw outcome counts from 2^L shots on.  The
 layer-by-layer references in ``test_vqe.py`` call
 ``apply_exp_x`` and so run the kernel under test; these digests do not, so
 a change that moves one bit of any rotation shows here.  Run this file as a
@@ -568,18 +569,26 @@ DIGESTS = {
     'local_energy_table-L10-J1.0-G1.0-pbc': '6de9d3ca98b07199',
     'local_energy_table-L10-J0.8-G1.3-pbc': 'cacfad5b1d5b2b00',
     'local_energy_table-L10-J-0.6-G0.4-obc': 'c6dece66af5b2476',
-    'estimate_energy_pauli-L1-J1.0-G1.0-pbc': '05df556eaae42f74',
-    'estimate_energy_pauli-L1-J0.8-G1.3-pbc': '1bfd44afa7ab5ead',
-    'estimate_energy_pauli-L1-J-0.6-G0.4-obc': '3e8bce002efc007f',
-    'estimate_energy_pauli-L2-J1.0-G1.0-pbc': '29b14c450bc77a64',
-    'estimate_energy_pauli-L2-J0.8-G1.3-pbc': '9da0d39fd804142a',
-    'estimate_energy_pauli-L2-J-0.6-G0.4-obc': '3ed40c4f5f3fdd55',
-    'estimate_energy_pauli-L5-J1.0-G1.0-pbc': '02e78c84c12eb577',
-    'estimate_energy_pauli-L5-J0.8-G1.3-pbc': 'ade32f9663e476bb',
-    'estimate_energy_pauli-L5-J-0.6-G0.4-obc': '424b9746dd96e67c',
-    'estimate_energy_pauli-L8-J1.0-G1.0-pbc': '69b257897ef795b0',
-    'estimate_energy_pauli-L8-J0.8-G1.3-pbc': '08987ae4360a895b',
-    'estimate_energy_pauli-L8-J-0.6-G0.4-obc': '306c9d0149f15cc0',
+    # re-recorded for the counts path: at L = 1 the 257-shot plan and the
+    # 3-shot and larger groups reach 2^L shots and draw a multinomial
+    'estimate_energy_pauli-L1-J1.0-G1.0-pbc': '9910b7b8e8f0259c',
+    'estimate_energy_pauli-L1-J0.8-G1.3-pbc': '433fd15fb3ec6872',
+    'estimate_energy_pauli-L1-J-0.6-G0.4-obc': 'a6be6995060dd374',
+    # re-recorded for the counts path: at L = 2 the 257-shot plan and the
+    # groups of 4 shots or more reach 2^L and draw a multinomial
+    'estimate_energy_pauli-L2-J1.0-G1.0-pbc': '9b78b422347669ca',
+    'estimate_energy_pauli-L2-J0.8-G1.3-pbc': '3e11201f71d5857c',
+    'estimate_energy_pauli-L2-J-0.6-G0.4-obc': 'db4412a6d29c2bc5',
+    # re-recorded for the counts path: at L = 5 the 257-shot plan reaches
+    # 2^L and draws a multinomial
+    'estimate_energy_pauli-L5-J1.0-G1.0-pbc': 'f094318f2a0869c3',
+    'estimate_energy_pauli-L5-J0.8-G1.3-pbc': '72c13fe014e6b2db',
+    'estimate_energy_pauli-L5-J-0.6-G0.4-obc': '0f0e41875c80f707',
+    # re-recorded for the counts path: at L = 8 the 257-shot plan reaches
+    # 2^L and draws a multinomial
+    'estimate_energy_pauli-L8-J1.0-G1.0-pbc': 'd644e1bab8771a66',
+    'estimate_energy_pauli-L8-J0.8-G1.3-pbc': '91b7b727aa9c1641',
+    'estimate_energy_pauli-L8-J-0.6-G0.4-obc': '91b146a917739da9',
     'estimate_energy_pauli-L10-J1.0-G1.0-pbc': 'cf25e410bddc46b5',
     'estimate_energy_pauli-L10-J0.8-G1.3-pbc': '11e23a4db2966983',
     'estimate_energy_pauli-L10-J-0.6-G0.4-obc': 'f53bada34f432acf',
@@ -986,10 +995,12 @@ SAMPLING_DIGESTS = {
     'run_sr_optimization-L6-J-0.6-G0.4-obc': '1ccf4fe9aba6cb79',
     'run_sr_optimization-L10-J0.8-G1.3-pbc': '0af886c46c88525a',
     'run_sr_optimization-L10-J-0.6-G0.4-obc': '0ca5dfd9fc198fd3',
-    'estimate_energy_pauli_batch_shared-L4-J0.8-G1.3-pbc': '1be6fcf752a3552b',
-    'estimate_energy_pauli_batch_shared-L4-J-0.6-G0.4-obc': '8abb98ef8c7bd178',
-    'estimate_energy_pauli_batch_shared-L8-J0.8-G1.3-pbc': '8063aeb9172a7520',
-    'estimate_energy_pauli_batch_shared-L8-J-0.6-G0.4-obc': 'b5df6cf92d5290f7',
+    # re-recorded for the counts path: every group at L = 4, and at L = 8
+    # the groups of 260 shots or more, reach 2^L and draw a multinomial
+    'estimate_energy_pauli_batch_shared-L4-J0.8-G1.3-pbc': 'e257a7ea90a90bd5',
+    'estimate_energy_pauli_batch_shared-L4-J-0.6-G0.4-obc': '11bb9c2c62376ec0',
+    'estimate_energy_pauli_batch_shared-L8-J0.8-G1.3-pbc': '942f356353123492',
+    'estimate_energy_pauli_batch_shared-L8-J-0.6-G0.4-obc': 'f1a38777aeb0db5c',
 }
 
 

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from spinlab import _native, statevector
@@ -18,9 +16,6 @@ from spinlab.statevector import (
     SpinConfiguration,
     StateVector,
     TFIMModel,
-    _guide_table,
-    _inverse_cdf,
-    _normalized_cdf,
     all_spin_values,
     apply_exp_x,
     apply_exp_zz,
@@ -340,57 +335,8 @@ class TestSampling:
         assert [c.spins for c in a] == [c.spins for c in b]
 
 
-# weights with runs of zeros, and small integers whose CDF steps land on
-# bucket edges when their total is a power of two
-_WEIGHTS = st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0])
-                    | st.floats(0.0, 1.0), min_size=1, max_size=80).filter(
-                        lambda w: sum(w) > 0)
-
-
-@st.composite
-def _cdf_and_uniforms(draw):
-    cum = _normalized_cdf(np.array(draw(_WEIGHTS)))
-    table = _guide_table(cum, draw(st.integers(cum.size, 2 ** 17)))
-    G = table.size
-    edges = [b / G for b in draw(st.lists(st.integers(0, G - 1),
-                                          max_size=20))]
-    at_cdf = [c for c in cum if c < 1.0]
-    near = [np.nextafter(c, 0.0) for c in at_cdf if c > 0.0]
-    u = [0.0] + edges + at_cdf + near + draw(st.lists(
-        st.floats(0.0, 1.0, exclude_max=True), max_size=50))
-    return cum, table, np.array(u)
-
-
 class TestGuideTable:
-    @settings(max_examples=300, deadline=None)
-    @given(case=_cdf_and_uniforms())
-    def test_equals_searchsorted(self, case):
-        cum, table, u = case
-        assert np.array_equal(_inverse_cdf(cum, table, u),
-                              np.searchsorted(cum, u, side="right"))
-
-    def test_trailing_ones_and_zero_runs(self):
-        cum = _normalized_cdf(np.array([0.0, 0.0, 0.25, 0.0, 0.25, 0.5,
-                                        0.0, 0.0]))
-        assert np.array_equal(cum[-3:], [1.0, 1.0, 1.0])
-        table = _guide_table(cum, 4096)
-        G = table.size
-        u = np.concatenate([np.arange(G) / G, [0.25, 0.5, 1 - 2 ** -53]])
-        assert np.array_equal(_inverse_cdf(cum, table, u),
-                              np.searchsorted(cum, u, side="right"))
-
-    @pytest.mark.parametrize("n_draws,size,buckets", [
-        (3, 4, None),
-        (4, 4, 4),
-        (5, 4, 8),
-        (10 ** 4, 2 ** 10, 2 ** 14),
-        (2 ** 14, 2 ** 14, 2 ** 14),
-        (10 ** 4, 2 ** 15, None),
-        (2 ** 20 + 1, 4, 2 ** 21),
-    ])
-    def test_sized_from_the_draws_it_serves(self, n_draws, size, buckets):
-        table = _guide_table(_normalized_cdf(np.ones(size)), n_draws)
-        assert (None if table is None else table.size) == buckets
+    """sample_indices: its norm check and its plain inverse-CDF search."""
 
     @pytest.mark.parametrize("M", [10, 4096])
     @pytest.mark.parametrize("amps", [[0, 0, 0, 0], [np.nan, 1, 0, 0]],

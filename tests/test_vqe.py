@@ -6,12 +6,14 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import ks_2samp
 
 from spinlab.pauli import (MeasurementGroups, PauliString, PauliSum,
                            group_qubitwise)
 from spinlab.statevector import (SpinConfiguration, StateVector, TFIMModel,
                                  apply_exp_x, apply_exp_zz, apply_pauli_sum,
-                                 basis_state, ground_state, init_plus)
+                                 basis_state, ground_state, init_plus,
+                                 sample_indices)
 from spinlab.statevector import expectation, rotate_to_basis
 from spinlab import vqe
 from spinlab.vqe import (HVAnsatz, ShotPlan, _string_values,
@@ -275,15 +277,25 @@ class TestEstimateEnergyPauli:
 
 
 def _ref_estimate(s, h, groups, plan, rng):
-    """The per-call estimator: rotate, plain inverse CDF and parities for
-    every group of every repetition."""
+    """The per-call estimator: rotate every group of every repetition, then
+    draw one count vector against the group's value table from 2^L shots,
+    or a plain inverse CDF and parities below."""
     mean, var_of_mean = h.identity_coefficient().real, 0.0
     for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):
         cum = np.cumsum(rotate_to_basis(s, basis).probabilities())
         cum /= cum[-1]
-        shots = np.searchsorted(cum, rng.random(m), side="right")
         coeffs = np.array([h.terms[i][0].real for i in grp])
         masks = np.array([h.terms[i][1].mask() for i in grp], dtype=np.uint64)
+        if m >= cum.size:
+            w = np.zeros(cum.size)
+            for c, mask in zip(coeffs, masks):
+                w += c * _string_values([mask], np.arange(cum.size))[0]
+            n = rng.multinomial(m, np.diff(cum, prepend=0.0))
+            g_mean = float(n @ w) / m
+            mean += g_mean
+            var_of_mean += float(n @ (w - g_mean) ** 2) / (m - 1) / m
+            continue
+        shots = np.searchsorted(cum, rng.random(m), side="right")
         weighted = coeffs @ _string_values(masks, shots)
         mean += float(weighted.mean())
         if m > 1:
@@ -299,8 +311,8 @@ def _mixed_sum(L: int, seed: int) -> PauliSum:
 
 
 class TestEstimateEnergyPauliBatch:
-    # shot counts on both sides of the guide-table threshold, one draw per
-    # CDF entry: 1, 100 and 257 shots search without a table at L = 10
+    # shot counts on both sides of the counts threshold, 2^L shots: 1, 100
+    # and 257 shots are drawn one by one at L = 10
     @pytest.mark.parametrize("L,m,reps", [(4, 1, 3), (6, 100, 30),
                                           (10, 100, 3), (10, 257, 2),
                                           (10, 1500, 4), (10, 5000, 2)])
@@ -329,16 +341,16 @@ class TestEstimateEnergyPauliBatch:
         s = prepare(_bitwise_ansatz(8, 1.0, 1.0, True))
         rng = np.random.default_rng(5)
         batch = estimate_energy_pauli_batch(s, h, groups, plan, [rng] * 12)
-        rng = np.random.default_rng(5)
-        assert batch == [estimate_energy_pauli(s, h, groups, plan, rng)
+        single = np.random.default_rng(5)
+        assert batch == [estimate_energy_pauli(s, h, groups, plan, single)
                          for _ in range(12)]
-        assert rng.random() == np.random.default_rng(5).random(
-            12 * plan.total + 1)[-1]
+        assert rng.bit_generator.state == single.bit_generator.state
 
     def test_rotates_one_group_at_a_time_and_draws_every_shot(
             self, monkeypatch):
         # each group's rotated state is dropped before the next group is
-        # rotated, and each generator gives exactly plan.total uniforms
+        # rotated, and each generator gives exactly what one single call
+        # draws from it
         h = _mixed_sum(8, 3)
         groups = group_qubitwise(h)
         assert groups.n_groups > 2
@@ -358,8 +370,9 @@ class TestEstimateEnergyPauliBatch:
         assert len(rotated) == groups.n_groups
         assert all(r() is None for r in rotated)
         for r, rng in enumerate(rngs):
-            assert rng.random() == np.random.default_rng(r).random(
-                plan.total + 1)[-1]
+            single = np.random.default_rng(r)
+            estimate_energy_pauli(s, h, groups, plan, single)
+            assert rng.bit_generator.state == single.bit_generator.state
 
     def test_mixed_generators_are_single_calls_in_order(self):
         h = _mixed_sum(6, 4)
@@ -376,8 +389,9 @@ class TestEstimateEnergyPauliBatch:
     @pytest.mark.parametrize("m", [1023, 1024])
     def test_sign_table_built_only_from_2_to_the_L_shots(self, m,
                                                          monkeypatch):
-        # 2^10 = 1024 basis indices: the guide table and the sign table
-        # exist only when the shots cover them
+        # 2^10 = 1024 basis indices: the value table w_g over all of them
+        # is built only when the shots cover them, and then no drawn shot's
+        # parity is taken
         h = TFIMModel(L=10, J=0.8, Gamma=1.3).as_pauli_sum()
         groups = group_qubitwise(h)
         plan = ShotPlan.uniform(groups.n_groups, m)
@@ -394,7 +408,9 @@ class TestEstimateEnergyPauliBatch:
         ests = estimate_energy_pauli_batch(
             s, h, groups, plan, [np.random.default_rng(r) for r in range(3)])
         if m == 1024:
-            assert tables == [len(g) for g in groups.groups] and not draws
+            # one string at a time into each group's table
+            assert tables == [1] * sum(len(g) for g in groups.groups)
+            assert not draws
         else:
             assert not tables and len(draws) == 3 * groups.n_groups
         for r, est in enumerate(ests):
@@ -402,14 +418,22 @@ class TestEstimateEnergyPauliBatch:
                 s, h, groups, plan, np.random.default_rng(r))
 
     def test_no_generators_no_estimates_no_draws(self, monkeypatch):
+        # no parity of a drawn shot below 2^4 shots, and nothing but the
+        # value tables from 2^4 on
         h = TFIMModel(L=4).as_pauli_sum()
         groups = group_qubitwise(h)
         drawn = []
-        monkeypatch.setattr(vqe, "_inverse_cdf",
-                            lambda *args: drawn.append(args))
-        assert estimate_energy_pauli_batch(
-            init_plus(4), h, groups,
-            ShotPlan.uniform(groups.n_groups, 100), []) == []
+
+        def spy(masks, indices):
+            if not np.array_equal(indices, np.arange(16)):
+                drawn.append(indices)
+            return _string_values(masks, indices)
+
+        monkeypatch.setattr(vqe, "_string_values", spy)
+        for m in (10, 100):
+            assert estimate_energy_pauli_batch(
+                init_plus(4), h, groups,
+                ShotPlan.uniform(groups.n_groups, m), []) == []
         assert drawn == []
 
     def test_no_sign_table_below_2_to_the_L_shots(self):
@@ -437,6 +461,102 @@ class TestEstimateEnergyPauliBatch:
             estimate_energy_pauli_batch(init_plus(4), h, groups,
                                         ShotPlan((10,)),
                                         [np.random.default_rng(0)])
+
+    def test_operator_size_mismatch_rejected(self):
+        h = TFIMModel(L=4).as_pauli_sum()
+        groups = group_qubitwise(h)
+        plan = ShotPlan.uniform(groups.n_groups, 10)
+        for call in (
+                lambda: estimate_energy_pauli(init_plus(3), h, groups, plan,
+                                              np.random.default_rng(0)),
+                lambda: estimate_energy_pauli_batch(
+                    init_plus(5), h, groups, plan, []),
+                lambda: predicted_error(init_plus(5), h, plan, groups)):
+            with pytest.raises(ValueError,
+                               match="operator size does not match state"):
+                call()
+
+
+def _per_shot_estimate(s, h, groups, plan, rng):
+    """Every shot drawn through sample_indices and read by the parity rule
+    P(x) = (-1)^popcount(x & mask), one string at a time."""
+    mean, var_of_mean = h.identity_coefficient().real, 0.0
+    for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):
+        shots = sample_indices(rotate_to_basis(s, basis), m, rng)
+        weighted = np.zeros(m)
+        for i in grp:
+            coeff, string = h.terms[i]
+            parity = np.array([bin(x & string.mask()).count("1") % 2
+                               for x in shots.tolist()])
+            weighted += coeff.real * (1 - 2 * parity)
+        mean += weighted.mean()
+        var_of_mean += weighted.var(ddof=1) / m
+    return mean, np.sqrt(var_of_mean)
+
+
+class TestCountsPath:
+    """From 2^L shots the grouped estimator reads one multinomial count
+    vector; over fixed seeds it agrees in law with drawing every shot."""
+
+    N_SEEDS = 400
+
+    def test_agrees_in_distribution_with_per_shot_draws(self):
+        L, m = 4, 100
+        h = _mixed_sum(L, 7)
+        groups = group_qubitwise(h)
+        assert max(len(g) for g in groups.groups) > 1
+        s = prepare(_bitwise_ansatz(L, 0.8, 1.3, True))
+        plan = ShotPlan.uniform(groups.n_groups, m)
+        counts = estimate_energy_pauli_batch(
+            s, h, groups, plan,
+            [np.random.default_rng(r) for r in range(self.N_SEEDS)])
+        shots = np.array([
+            _per_shot_estimate(s, h, groups, plan,
+                               np.random.default_rng(10 ** 6 + r))
+            for r in range(self.N_SEEDS)])
+        means = np.array([e.mean for e in counts])
+        stderrs = np.array([e.stderr for e in counts])
+        n = self.N_SEEDS
+        assert ks_2samp(means, shots[:, 0]).pvalue > 1e-3
+        assert ks_2samp(stderrs, shots[:, 1]).pvalue > 1e-3
+        spread = np.sqrt(means.var(ddof=1) / n + shots[:, 0].var(ddof=1) / n)
+        assert abs(means.mean() - shots[:, 0].mean()) < 3 * spread
+        sem = means.std(ddof=1) / np.sqrt(n)
+        assert abs(means.mean() - expectation(s, h)) < 3 * sem
+        # the std of a sample of n means has a standard error of about
+        # std / sqrt(2 (n - 1))
+        want = predicted_error(s, h, plan, groups)
+        for sample in (means, shots[:, 0]):
+            std = sample.std(ddof=1)
+            assert abs(std - want) < 3 * want / np.sqrt(2 * (n - 1))
+
+    def test_ratio_binomials_match_multinomial_marginals(self):
+        L, M = 3, 60
+        rng = np.random.default_rng(4)
+        amps = rng.normal(size=2 ** L) + 1j * rng.normal(size=2 ** L)
+        s = StateVector(amps / np.linalg.norm(amps))
+        p = s.probabilities() / s.probabilities().sum()
+        x = SpinConfiguration((1, -1, 1))
+        y = SpinConfiguration((-1, -1, 1))
+        ix, iy = x.to_index(), y.to_index()
+        pairs = np.array([
+            (e.denominator_count, e.numerator_count) for e in (
+                amplitude_ratio_estimate(s, x, y, M, np.random.default_rng(r))
+                for r in range(self.N_SEEDS))])
+        joint = np.array([np.random.default_rng(10 ** 6 + r).multinomial(
+            M, p)[[ix, iy]] for r in range(self.N_SEEDS)])
+        n = self.N_SEEDS
+        for k, pk in enumerate((p[ix], p[iy])):
+            assert ks_2samp(pairs[:, k], joint[:, k]).pvalue > 1e-3
+            sd = np.sqrt(M * pk * (1 - pk))
+            assert abs(pairs[:, k].mean() - M * pk) < 3 * sd / np.sqrt(n)
+            assert abs(pairs[:, k].std(ddof=1) - sd) < 3 * sd / np.sqrt(
+                2 * (n - 1))
+        # the two counts of one record are negatively correlated:
+        # E[n(x) n(x')] = M (M - 1) p_x p_x'
+        prod = pairs[:, 0] * pairs[:, 1]
+        want = M * (M - 1) * p[ix] * p[iy]
+        assert abs(prod.mean() - want) < 3 * prod.std(ddof=1) / np.sqrt(n)
 
 
 class TestPredictedError:
@@ -743,6 +863,43 @@ class TestAmplitudeRatio:
                                        np.random.default_rng(0))
         assert not est.defined
         assert np.isnan(est.ratio)
+
+    @pytest.mark.parametrize("sites", [2, 4])
+    @pytest.mark.parametrize("arg", ["x", "x_new"])
+    def test_configuration_size_mismatch_rejected(self, arg, sites):
+        # a short configuration once read another basis index, and a long
+        # one an index past the state
+        right = SpinConfiguration((1, -1, 1))
+        wrong = SpinConfiguration((-1,) * sites)
+        configs = {"x": right, "x_new": right, arg: wrong}
+        with pytest.raises(ValueError, match=rf"^{arg} has {sites} sites"):
+            amplitude_ratio_estimate(init_plus(3), configs["x"],
+                                     configs["x_new"], 100,
+                                     np.random.default_rng(0))
+
+    def test_memory_independent_of_shots(self):
+        # only the two counts are drawn: 2^26 shots at L = 10 take no more
+        # than a few state-sized arrays
+        s = init_plus(10)
+        x = SpinConfiguration((1,) * 10)
+        y = SpinConfiguration((-1,) + (1,) * 9)
+        tracemalloc.start()
+        try:
+            est = amplitude_ratio_estimate(s, x, y, 2 ** 26,
+                                           np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert est.denominator_count + est.numerator_count <= 2 ** 26
+        assert abs(est.ratio - 1.0) < 5 * est.stderr
+
+    @pytest.mark.parametrize("rel_target", [0.0, -0.1, np.nan, np.inf])
+    def test_shots_for_precision_rejects_bad_target(self, rel_target):
+        x = SpinConfiguration((1,) * 3)
+        with pytest.raises(ValueError, match="rel_target"):
+            shots_for_ratio_precision(init_plus(3), x, x, rel_target,
+                                      np.random.default_rng(0))
 
     def test_required_shots_track_inverse_denominator_probability(self):
         model = TFIMModel(L=6)
