@@ -92,9 +92,8 @@ class PauliString:
         return reduce(np.kron, mats)
 
 
-def _bit_action(p: PauliString,
-                idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and values of P's nonzeros in the uint64 columns idx.
+def _bit_action(p: PauliString, idx: np.ndarray) -> tuple[int, np.ndarray]:
+    """Flip mask and values of P's nonzeros in the uint64 columns idx.
 
     P|j> = i^ny (-1)^popcount(j & sign) |j ^ flip>, where flip marks the X/Y
     letters, sign the Z/Y letters and ny counts the Y letters.
@@ -107,7 +106,7 @@ def _bit_action(p: PauliString,
             sign |= 1 << k
         if c == "Y":
             ny += 1
-    return idx ^ np.uint64(flip), (1j ** ny) * _string_values([sign], idx)[0]
+    return flip, (1j ** ny) * _string_values([sign], idx)[0]
 
 
 def _string_values(masks, indices) -> np.ndarray:
@@ -116,6 +115,19 @@ def _string_values(masks, indices) -> np.ndarray:
     masks = np.asarray(masks, dtype=np.uint64)
     parity = np.bitwise_count(idx[None, :] & masks[:, None]) & 1
     return 1.0 - 2.0 * parity
+
+
+def _sign_sum(terms: Iterable[tuple[float, int]], n: int) -> np.ndarray:
+    """sum_i c_i (-1)^popcount(x & m_i) on every basis index x of n qubits.
+
+    The (c_i, m_i) pairs are summed in order from zero, one string at a time,
+    so the work arrays stay at 2^n entries whatever the number of strings.
+    """
+    idx = np.arange(2 ** n, dtype=np.uint64)
+    out = np.zeros(idx.size)
+    for c, m in terms:
+        out += c * _string_values([m], idx)[0]
+    return out
 
 
 def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
@@ -199,9 +211,8 @@ class PauliSum:
         idx = np.arange(2 ** self.n_qubits, dtype=np.uint64)
         out: dict[int, np.ndarray] = {}
         for coeff, string in self.terms:
-            rows, phase = _bit_action(string, idx)
-            # rows = idx ^ flip, and idx[0] = 0
-            block = out.setdefault(int(rows[0]), np.zeros(idx.size, complex))
+            flip, phase = _bit_action(string, idx)
+            block = out.setdefault(flip, np.zeros(idx.size, complex))
             block += coeff * phase
         return out
 

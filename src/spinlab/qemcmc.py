@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import jv
 
 from . import _native
-from .pauli import _number_array, _positive_int
+from .pauli import _number_array, _positive_int, _sign_sum
 from .statevector import (CapacityError, SpinConfiguration, _normalized_cdf,
                           _x_gate, all_spin_values)
 
@@ -190,7 +190,8 @@ def energy_table(model: ClassicalSpinModel) -> np.ndarray:
 
 
 def magnetization_table(L: int) -> np.ndarray:
-    return all_spin_values(L).sum(axis=1).astype(float)
+    """sum_k s_k over all 2^L basis indices."""
+    return _sign_sum([(1.0, 1 << k) for k in range(L)], L)
 
 
 def boltzmann_distribution(model: ClassicalSpinModel,

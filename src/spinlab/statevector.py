@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import _native
-from .pauli import PauliString, PauliSum, _bit_action, _string_values
+from .pauli import PauliString, PauliSum, _bit_action, _sign_sum
 
 MAX_STATE_QUBITS = 26
 MAX_DENSE_QUBITS = 12
@@ -124,11 +124,8 @@ class TFIMModel:
     def zz_sum_table(self) -> np.ndarray:
         """sum_k s_k s_{k+1} for every basis index (diagonal of the ZZ part);
         the L = 1 periodic bond has mask 0, so sign +1."""
-        idx = np.arange(2 ** self.L, dtype=np.uint64)
-        total = np.zeros(idx.size)
-        for i, j in self.bonds():
-            total += _string_values([(1 << i) ^ (1 << j)], idx)[0]
-        return total.astype(np.int64)
+        bonds = [(1.0, (1 << i) ^ (1 << j)) for i, j in self.bonds()]
+        return _sign_sum(bonds, self.L).astype(np.int64)
 
 
 def _check_qubits(n: int) -> None:
@@ -213,9 +210,9 @@ def apply_pauli_string(s: StateVector, p: PauliString) -> np.ndarray:
     if p.n_qubits != s.n_qubits:
         raise ValueError("operator size does not match state")
     idx = np.arange(s.amplitudes.size, dtype=np.uint64)
-    rows, phase = _bit_action(p, idx)
+    flip, phase = _bit_action(p, idx)
     out = np.empty_like(s.amplitudes)
-    out[rows] = phase * s.amplitudes
+    out[idx ^ np.uint64(flip)] = phase * s.amplitudes
     return out
 
 
@@ -345,7 +342,10 @@ def ground_state(h: PauliSum) -> tuple[float, StateVector]:
     idx = np.arange(dim, dtype=np.intp)
     blocks = h._flip_blocks()
     real = not any(b.imag.any() for b in blocks.values())
-    gathers = [(idx ^ f, b.real if real else b) for f, b in blocks.items()]
+    # the diagonal block (f = 0) is added in place, with no identity gather
+    gathers = [(idx ^ f if f else slice(None),
+                np.ascontiguousarray(b.real) if real else b)
+               for f, b in blocks.items()]
 
     def matvec(v):
         x = v if real else v[:dim] + 1j * v[dim:]
@@ -363,31 +363,12 @@ def ground_state(h: PauliSum) -> tuple[float, StateVector]:
     return e0, _sign_fixed(v if real else v[:dim] + 1j * v[dim:])
 
 
-def _split_diagonal_x(h: PauliSum) -> tuple[PauliSum, PauliSum]:
-    """Split into a Z/I-diagonal part and a sum of single-qubit X terms."""
-    diag, xpart = [], []
-    for coeff, string in h.terms:
-        if set(string.letters) <= {"I", "Z"}:
-            diag.append((coeff, string))
-        elif (len(string.support()) == 1
-              and string.letters[string.support()[0]] == "X"):
-            xpart.append((coeff, string))
-        else:
-            raise ValueError("trotter split needs diagonal + single-X terms only")
-    return (PauliSum.from_terms(h.n_qubits, diag),
-            PauliSum.from_terms(h.n_qubits, xpart))
-
-
 def diagonal_values(h: PauliSum) -> np.ndarray:
     """Diagonal of a Z/I-only sum as a real vector over basis indices."""
-    n = h.n_qubits
-    idx = np.arange(2 ** n, dtype=np.uint64)
-    out = np.zeros(2 ** n, dtype=float)
-    for coeff, string in h.terms:
-        if not set(string.letters) <= {"I", "Z"}:
-            raise ValueError("sum is not diagonal")
-        out += coeff.real * _string_values([string.mask()], idx)[0]
-    return out
+    if any(set(string.letters) - {"I", "Z"} for _, string in h.terms):
+        raise ValueError("sum is not diagonal")
+    return _sign_sum([(c.real, string.mask()) for c, string in h.terms],
+                     h.n_qubits)
 
 
 def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
@@ -408,11 +389,19 @@ def evolve(s: StateVector, h: PauliSum, t: float, method: str = "exact",
         if steps < 1:
             raise ValueError("steps must be positive")
         _check_hermitian(h)
-        diag, xpart = _split_diagonal_x(h)
+        diag, xs = [], []  # (c, Z mask) and (c, qubit of the X)
+        for c, string in h.terms:
+            if set(string.letters) <= {"I", "Z"}:
+                diag.append((c.real, string.mask()))
+            elif string.letters.replace("I", "") == "X":
+                xs.append((c.real, string.letters.index("X")))
+            else:
+                raise ValueError("trotter split needs diagonal + single-X "
+                                 "terms only")
         dt = t / steps
-        dphase = np.exp(-1j * dt * diagonal_values(diag))
-        qubits = [string.support()[0] for _, string in xpart.terms]
-        gates = np.array([_x_gate(c.real * dt) for c, _ in xpart.terms])
+        dphase = np.exp(-1j * dt * _sign_sum(diag, h.n_qubits))
+        qubits = [k for _, k in xs]
+        gates = np.array([_x_gate(c * dt) for c, _ in xs])
         amps = s.amplitudes.copy()
         for _ in range(steps):
             amps *= dphase

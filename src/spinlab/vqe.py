@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from . import _native
-from .pauli import (MeasurementGroups, PauliSum, _string_values,
+from .pauli import (MeasurementGroups, PauliSum, _sign_sum, _string_values,
                     group_qubitwise)
 from .statevector import (
     StateVector,
@@ -182,19 +182,6 @@ def _check_estimator(s: StateVector, h: PauliSum, groups: MeasurementGroups,
     _check_hermitian(h)
 
 
-def _group_values(h: PauliSum, grp: Sequence[int]) -> np.ndarray:
-    """w_g(x) = sum_{i in g} c_i P_i(x) on every basis index x.
-
-    One string at a time keeps the work arrays at 2^n, not |g| * 2^n.
-    """
-    idx = np.arange(2 ** h.n_qubits, dtype=np.uint64)
-    weighted = np.zeros(idx.size)
-    for i in grp:
-        coeff, string = h.terms[i]
-        weighted += coeff.real * _string_values([string.mask()], idx)[0]
-    return weighted
-
-
 def estimate_energy_pauli_batch(s: StateVector, h: PauliSum,
                                 groups: MeasurementGroups, plan: ShotPlan,
                                 rngs: Sequence[np.random.Generator]
@@ -203,13 +190,14 @@ def estimate_energy_pauli_batch(s: StateVector, h: PauliSum,
 
     A group with M >= 2^L shots draws one multinomial count vector n over
     its 2^L outcomes, and takes the mean n.w / M and the ddof = 1 variance
-    sum_x n_x (w_x - mean)^2 / (M - 1) from its ``_group_values`` w.  Below
-    2^L shots it draws every shot by inverse CDF and gathers the member
-    parities of the drawn indices, since numpy's multinomial walks all 2^L
-    outcomes whatever M is.  Each group's tables are built once for all
-    repetitions, with one rotated state alive at a time.  Repetition r then
-    draws every group in order from rngs[r], the stream the single call
-    consumes, so a generator listed n times serves n single calls in a row.
+    sum_x n_x (w_x - mean)^2 / (M - 1) from its value table w, the members'
+    ``_sign_sum`` on every basis index.  Below 2^L shots it draws every shot
+    by inverse CDF and gathers the member parities of the drawn indices,
+    since numpy's multinomial walks all 2^L outcomes whatever M is.  Each
+    group's tables are built once for all repetitions, with one rotated
+    state alive at a time.  Repetition r then draws every group in order
+    from rngs[r], the stream the single call consumes, so a generator
+    listed n times serves n single calls in a row.
     """
     _check_estimator(s, h, groups, plan)
     tables = []
@@ -218,7 +206,8 @@ def estimate_energy_pauli_batch(s: StateVector, h: PauliSum,
         coeffs = np.array([h.terms[i][0].real for i in grp])
         masks = np.array([h.terms[i][1].mask() for i in grp], dtype=np.uint64)
         if m >= cum.size:  # outcome probabilities and w_g, for counts
-            tables.append((m, np.diff(cum, prepend=0.0), _group_values(h, grp),
+            tables.append((m, np.diff(cum, prepend=0.0),
+                           _sign_sum(zip(coeffs, masks), s.n_qubits),
                            coeffs, masks))
         else:
             tables.append((m, cum, None, coeffs, masks))
@@ -259,7 +248,8 @@ def predicted_error(s: StateVector, h: PauliSum, plan: ShotPlan,
     var = 0.0
     for grp, basis, m in zip(groups.groups, groups.bases, plan.shots_per_group):
         probs = rotate_to_basis(s, basis).probabilities()
-        weighted = _group_values(h, grp)
+        weighted = _sign_sum([(h.terms[i][0].real, h.terms[i][1].mask())
+                              for i in grp], h.n_qubits)
         var += float(probs @ (weighted - probs @ weighted) ** 2) / m
     return float(np.sqrt(var))
 
@@ -489,16 +479,15 @@ def shots_for_ratio_precision(s: StateVector, x: SpinConfiguration,
                               rng: np.random.Generator) -> int:
     """Smallest power-of-two shot count whose ratio stderr is on target.
 
-    Doubles M from 64 until stderr/ratio <= rel_target with a defined,
-    nonzero estimate; returns the first sufficient M, or 10^8 if none is.
+    Doubles M from 64 to 2^26 until stderr/ratio <= rel_target with a
+    defined, nonzero estimate and returns the first sufficient M; raises a
+    ValueError when none of those counts is.
     """
     if not 0 < rel_target < np.inf:  # nan fails too
         raise ValueError(f"rel_target must be positive and finite, "
                          f"got {rel_target}")
-    m = 64
-    while m <= 10 ** 8:
+    for m in (2 ** k for k in range(6, 27)):
         est = amplitude_ratio_estimate(s, x, x_new, m, rng)
         if est.defined and est.ratio > 0 and est.stderr / est.ratio <= rel_target:
             return m
-        m *= 2
-    return 10 ** 8
+    raise ValueError(f"no shot count up to {m} meets rel_target {rel_target}")

@@ -1,13 +1,17 @@
 """Pauli algebra, Jordan-Wigner mapping, grouping, and serialization."""
 
+import ast
 import json
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinlab import pauli
 from spinlab.pauli import (
     MAX_MASK_QUBITS,
     FermionHamiltonian,
@@ -188,6 +192,26 @@ class TestPauliSum:
     def test_one_norm_tfim(self):
         h = TFIMModel(L=10, J=1.0, Gamma=1.0).as_pauli_sum()
         assert one_norm(h) == pytest.approx(20.0)
+
+
+def test_only_the_sign_helpers_call_the_sign_rule():
+    # every diagonal table (ZZ bonds, diagonal_values, the group value
+    # table, the magnetization, the Trotter phase) is one weighted sum,
+    # pauli._sign_sum; besides it only the bit action and the per-shot
+    # parities of the grouped estimator read _string_values
+    package = Path(pauli.__file__).parent
+    callers = Counter()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if name == "_string_values":
+                    callers[path.name, getattr(top, "name", "")] += 1
+    assert callers == {("pauli.py", "_bit_action"): 1,
+                       ("pauli.py", "_sign_sum"): 1,
+                       ("vqe.py", "estimate_energy_pauli_batch"): 1}
 
 
 # ---------------------------------------------------------------------------

@@ -620,6 +620,23 @@ class TestEvolve:
         diag = diagonal_values(h)
         assert np.allclose(diag, np.diag(h.dense()).real, atol=1e-12)
 
+    @pytest.mark.parametrize("letters", ["ZX", "YI"])
+    def test_diagonal_values_refuses_an_x_or_y_letter(self, letters):
+        h = PauliSum.from_terms(2, [(0.5, PauliString("ZZ")),
+                                    (0.3, PauliString(letters))])
+        with pytest.raises(ValueError, match="sum is not diagonal"):
+            diagonal_values(h)
+
+    @pytest.mark.parametrize("letters", ["YII", "XXI", "XZI"])
+    def test_trotter_refuses_a_term_off_the_split(self, letters):
+        # the split is a Z/I-diagonal part plus single-X terms
+        h = PauliSum.from_terms(3, [(-0.7, PauliString("ZZI")),
+                                    (0.4, PauliString("IXI")),
+                                    (0.2, PauliString(letters))])
+        with pytest.raises(ValueError, match="trotter split needs diagonal "
+                                             r"\+ single-X terms only"):
+            evolve(init_plus(3), h, 0.5, method="trotter", steps=2)
+
 
 # ---------------------------------------------------------------------------
 # Binary dump format

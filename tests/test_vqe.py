@@ -15,7 +15,7 @@ from spinlab.statevector import (SpinConfiguration, StateVector, TFIMModel,
                                  basis_state, ground_state, init_plus,
                                  sample_indices)
 from spinlab.statevector import expectation, rotate_to_basis
-from spinlab import vqe
+from spinlab import pauli, vqe
 from spinlab.vqe import (HVAnsatz, ShotPlan, _string_values,
                          amplitude_ratio_estimate, energy_and_gradient,
                          estimate_energy_pauli, estimate_energy_pauli_batch,
@@ -404,6 +404,8 @@ class TestEstimateEnergyPauliBatch:
             (tables if whole else draws).append(len(masks))
             return _string_values(masks, indices)
 
+        # the tables are built in pauli, the drawn shots' parities in vqe
+        monkeypatch.setattr(pauli, "_string_values", spy)
         monkeypatch.setattr(vqe, "_string_values", spy)
         ests = estimate_energy_pauli_batch(
             s, h, groups, plan, [np.random.default_rng(r) for r in range(3)])
@@ -900,6 +902,15 @@ class TestAmplitudeRatio:
         with pytest.raises(ValueError, match="rel_target"):
             shots_for_ratio_precision(init_plus(3), x, x, rel_target,
                                       np.random.default_rng(0))
+
+    def test_shots_for_precision_raises_when_no_tried_count_is_enough(self):
+        # x has probability 0, so no count up to 2^26 defines the ratio
+        s = basis_state(3, 0)
+        x = SpinConfiguration((-1, 1, 1))
+        y = SpinConfiguration((1, 1, 1))
+        with pytest.raises(ValueError, match=r"up to 67108864 meets "
+                                             r"rel_target 0\.1"):
+            shots_for_ratio_precision(s, x, y, 0.1, np.random.default_rng(0))
 
     def test_required_shots_track_inverse_denominator_probability(self):
         model = TFIMModel(L=6)
